@@ -1,10 +1,10 @@
 """Numerical mirror symmetry on a torus fibered over a circle.
 
-Three independent computations of the same cohomology are implemented and
-cross-checked: theta-type holomorphic sections on the mirror side, an
-intersection complex with area-weighted differential, and the de Rham
-cohomology of twisted rapidly-decreasing sections (analytic classification
-plus a finite-difference discretization).
+The same cohomology is computed on three sides and cross-checked:
+theta-type holomorphic sections on the mirror side, an intersection complex
+with area-weighted differential, and the de Rham cohomology of twisted
+rapidly-decreasing sections (a finite-difference discretization, plus a
+case classification that reuses the intersection complex).
 """
 
 from .errors import (

@@ -1,11 +1,12 @@
 """Scene files, the cross-verification pipeline, and plot/CSV emission.
 
 A scene is a JSON document listing objects (graph data plus local system)
-and numeric parameters.  Loading validates everything eagerly, including
-transversality of every lift component, so a scene that parses is a scene
-every pipeline accepts.  run_verify runs the three cohomology routes, the
-differential double-computation, the holomorphicity samples, and the Euler
-check per object, and aggregates deterministically by object id.
+and numeric parameters.  Loading validates everything eagerly: it builds
+each object's crossing record, which checks transversality of every lift
+component, so a scene that parses is a scene every pipeline accepts.
+run_verify runs the cohomology routes, the differential double-computation,
+the holomorphicity samples, and the Euler check per object, and aggregates
+deterministically by object id.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .derham import analytic_dims, discretized_dims
 from .errors import TorusMirrorError, ValidationError
 from .floer import boundary_transport_differential, build_complex, cohomology_dims, matrix_rank
 from .fourier import MirrorPoint, bundle_invariants, dbar_residual, standard_section, theta_eval
-from .geometry import Harmonic, LagrangianGraph, lift_components, zero_crossings
+from .geometry import Harmonic, LagrangianGraph
 from .localsys import LocalSystem, TwistedTransport
 
 #: fixed holomorphicity sample points, clear of the seam margin at t in Z
@@ -100,12 +101,12 @@ def _object_from_dict(raw: dict) -> TwistedTransport:
                 f"object {oid}: declared rank {raw['local_system']['rank']} "
                 f"but monodromy is {system.rank}x{system.rank}"
             )
-        for comp in lift_components(graph):
-            zero_crossings(comp)  # transversality and alternation, eagerly
+        tt = TwistedTransport(graph, system)
+        tt.geometry  # builds the crossing record: transversality and alternation, eagerly
     except TorusMirrorError as err:
         text = str(err)
         raise type(err)(text if f"object {oid}" in text or text.startswith("component") else f"object {oid}: {text}") from err
-    return TwistedTransport(graph, system)
+    return tt
 
 
 def scene_from_dict(data: dict) -> Scene:
@@ -222,8 +223,8 @@ def _verify_object(tt: TwistedTransport, params: SceneParams) -> dict:
             checks["dbar_ok"] = residual <= params.dbar_tol
         else:
             entry["dbar_residual_max"] = None  # no decaying section to sample
-    except TorusMirrorError as err:
-        entry["errors"].append(str(err))
+    except Exception as err:  # one object's failure of any kind fails only that object
+        entry["errors"].append(f"{type(err).__name__}: {err}")
     entry["checks"] = checks
     entry["pass"] = not entry["errors"] and all(checks.values())
     return entry
@@ -329,8 +330,8 @@ def render_svg(scene: Scene, out) -> str:
     for index, tt in enumerate(scene.objects):
         color = _PALETTE[index % len(_PALETTE)]
         parts.extend(_curve_polylines(tt.graph, color))
-        for comp in lift_components(tt.graph):
-            for pt in zero_crossings(comp):
+        for points in tt.geometry.crossings:
+            for pt in points:
                 t = pt.t0 % 1.0
                 sign = "+" if pt.is_positive else "−"
                 kind = "plus" if pt.is_positive else "minus"

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .floer import build_complex, cohomology_dims, complex_report
 from .fourier import convolve
-from .geometry import lift_components, zero_crossings
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -47,14 +46,7 @@ def _cmd_inspect(args) -> int:
     scene = load_scene(args.scene)
     objects = []
     for tt in scene.objects:
-        comps = lift_components(tt.graph)
-        pos = neg = 0
-        for comp in comps:
-            for pt in zero_crossings(comp):
-                if pt.is_positive:
-                    pos += 1
-                else:
-                    neg += 1
+        geo = tt.geometry
         objects.append(
             {
                 "id": tt.id,
@@ -64,9 +56,9 @@ def _cmd_inspect(args) -> int:
                 "harmonics": len(tt.graph.wiggle),
                 "rank": tt.rank,
                 "quasi_unitary": tt.system.is_quasi_unitary(),
-                "components": len(comps),
-                "positive_crossings": pos,
-                "negative_crossings": neg,
+                "components": len(geo.components),
+                "positive_crossings": len(geo.positives),
+                "negative_crossings": len(geo.negatives),
             }
         )
     params = scene.params

@@ -1,13 +1,16 @@
 """De Rham cohomology of twisted rapidly-decreasing sections, two ways.
 
-The analytic route removes the negative crossings, classifies the residual
-pieces (closed circles / finite intervals / half-infinite intervals with
-decaying or growing weight), and reads the dimensions off the intersection
-complex through the resulting exact sequence, spot-checking surjectivity
-with the explicit integral solver.  The discretized route assembles the
-covariant derivative on a midpoint grid per component, with the seam
-matrix inserted where the lattice meets t in q*Z, and counts kernel and
-cokernel through banded eigensolves.
+The analytic route removes the negative crossings and classifies the
+residual pieces (closed circles / finite intervals / half-infinite
+intervals with decaying or growing weight).  It is not an independent
+assembly: its dimensions are the intersection complex's cohomology, which
+accounts for every open piece, plus (k, k) for each closed circle whose
+twisted monodromy has an eigenvalue-1 block of size k.  The explicit
+integral solver for the half-infinite pieces is spot-checked on random
+right-hand sides.  The discretized route assembles the covariant
+derivative on a midpoint grid per component, with the seam matrix
+inserted where the lattice meets t in q*Z, and counts kernel and cokernel
+through banded eigensolves.
 
 Case tags: case1 = closed circle (no crossings); case2 = finite interval
 between two negative points; case3a = interval with an infinite end and
@@ -28,7 +31,7 @@ from scipy.linalg import eigvals_banded
 
 from .errors import NumericsError, UnsupportedError, ValidationError, WindowError
 from .floer import RANK_TOL, build_complex, cohomology_dims, matrix_rank
-from .geometry import CIRCLE, LiftComponent, lift_components, zero_crossings
+from .geometry import CIRCLE, LiftComponent, lift_components
 from .localsys import TwistedTransport, circle_monodromy
 
 TWO_PI = 2.0 * math.pi
@@ -61,24 +64,28 @@ class ComponentCase:
     monodromy: np.ndarray | None = None
 
 
-def classify_components(tt: TwistedTransport, window: float | None = None) -> list[ComponentCase]:
+def _circle_case(tt: TwistedTransport, comp: LiftComponent) -> ComponentCase:
+    """A circle without crossings, with its twisted monodromy."""
+    g = tt.graph
+    b = TWO_PI * (g.c + comp.shift)
+    return ComponentCase(comp, CASE1, 0.0, b, (0.0, g.q), 0, circle_monodromy(tt.system, comp))
+
+
+def classify_components(tt: TwistedTransport) -> list[ComponentCase]:
     """Cut every lift component at its negative crossings and classify the
     residual pieces.  a and b are the linearized weight-exponent data:
     the twisted weight behaves like exp(-(a t^2/2 + b t)) with
     a = 2*pi*slope and b = 2*pi*offset."""
     g = tt.graph
+    geo = tt.geometry
     a = TWO_PI * g.p / g.q
     cases = []
-    for comp in sorted(lift_components(g, window), key=lambda c: c.shift):
+    for comp, points in zip(geo.components, geo.crossings):
         b = TWO_PI * (g.c + comp.shift)
-        points = zero_crossings(comp)
-        negatives = sorted(pt.t0 for pt in points if not pt.is_positive)
-        n_pos = sum(1 for pt in points if pt.is_positive)
+        negatives = [pt.t0 for pt in points if not pt.is_positive]
         if comp.kind == CIRCLE:
             if not points:
-                cases.append(
-                    ComponentCase(comp, CASE1, 0.0, b, (0.0, g.q), 0, circle_monodromy(tt.system, comp))
-                )
+                cases.append(_circle_case(tt, comp))
                 continue
             # alternation forces equal counts, so negatives exist here
             for lo, hi in zip(negatives, negatives[1:] + [negatives[0] + g.q]):
@@ -100,7 +107,7 @@ def case1_kernel_dim(case: ComponentCase, rank_tol: float = RANK_TOL) -> int:
     return m.shape[0] - matrix_rank(m - np.eye(m.shape[0]), rank_tol)
 
 
-def _circle_candidate_shifts(tt: TwistedTransport, window: float | None = None) -> list[int]:
+def _circle_candidate_shifts(tt: TwistedTransport) -> list[int]:
     """Circle shifts that can possibly carry twisted-monodromy eigenvalue 1:
     the flat eigenvalue moduli single them out regardless of any window."""
     g = tt.graph
@@ -195,12 +202,7 @@ def _spot_check_case3(case: ComponentCase, n_rhs: int, rng: np.random.Generator)
             )
 
 
-def analytic_dims(
-    tt: TwistedTransport,
-    window: float | None = None,
-    rank_tol: float = RANK_TOL,
-    spot_check: bool = True,
-) -> tuple[int, int]:
+def analytic_dims(tt: TwistedTransport, rank_tol: float = RANK_TOL) -> tuple[int, int]:
     """Cohomology dimensions by the case classification.
 
     Finite and half-infinite decaying pieces contribute one copy of the
@@ -208,26 +210,25 @@ def analytic_dims(
     exactly the intersection complex's matrix, so its cohomology gives the
     open-piece contribution.  Closed circles add (k, k) per eigenvalue-1
     block of the twisted monodromy, located through the flat eigenvalue
-    moduli rather than any fixed window.
+    moduli rather than any fixed window.  The interval solver is
+    spot-checked on up to two decaying half-infinite pieces.
     """
-    fc = build_complex(tt, window)
-    h0, h1 = cohomology_dims(fc, rank_tol)
+    h0, h1 = cohomology_dims(build_complex(tt), rank_tol)
 
     if tt.graph.p == 0:
-        for shift in _circle_candidate_shifts(tt, window):
-            comp = LiftComponent(tt.graph, CIRCLE, shift)
-            if zero_crossings(comp):
-                continue  # crossing circles are already in the complex
-            m = circle_monodromy(tt.system, comp)
-            k = m.shape[0] - matrix_rank(m - np.eye(m.shape[0]), rank_tol)
-            h0 += k
-            h1 += k
+        # every circle meeting the zero section lies inside the record's window
+        geo = tt.geometry
+        crossing = {comp.shift for comp, points in zip(geo.components, geo.crossings) if points}
+        for shift in _circle_candidate_shifts(tt):
+            if shift not in crossing:
+                k = case1_kernel_dim(_circle_case(tt, LiftComponent(tt.graph, CIRCLE, shift)), rank_tol)
+                h0 += k
+                h1 += k
 
-    if spot_check:
-        rng = np.random.default_rng(1728)
-        case3a = [c for c in classify_components(tt, window) if c.case == CASE3A]
-        for case in case3a[:2]:
-            _spot_check_case3(case, n_rhs=2, rng=rng)
+    rng = np.random.default_rng(1728)
+    case3a = [c for c in classify_components(tt) if c.case == CASE3A]
+    for case in case3a[:2]:
+        _spot_check_case3(case, n_rhs=2, rng=rng)
     return h0, h1
 
 
@@ -358,7 +359,6 @@ def discretized_dims(
     h: float = 1.0 / 512,
     big_t: float = 6.0,
     rank_tol: float = DISCRETE_RANK_TOL,
-    window: float | None = None,
 ) -> tuple[int, int]:
     """Kernel and cokernel of the discretized covariant derivative.
 
@@ -375,12 +375,12 @@ def discretized_dims(
     t_mono = tt.system.monodromy
     h0 = h1 = 0
     if tt.graph.p != 0:
-        for comp in tt.components(window):
+        for comp in lift_components(tt.graph):
             ker, coker = _line_component_dims(comp, t_mono, big_t, hp, res, rank_tol)
             h0 += ker
             h1 += coker
     else:
-        shifts = {c.shift for c in tt.components(window)}
+        shifts = {c.shift for c in lift_components(tt.graph)}
         shifts.update(_circle_candidate_shifts(tt))
         for shift in sorted(shifts):
             comp = LiftComponent(tt.graph, CIRCLE, shift)
@@ -390,9 +390,9 @@ def discretized_dims(
     return h0, h1
 
 
-def case_report(tt: TwistedTransport, window: float | None = None) -> list[dict]:
+def case_report(tt: TwistedTransport) -> list[dict]:
     out = []
-    for case in classify_components(tt, window):
+    for case in classify_components(tt):
         entry = {
             "component": case.component.label,
             "case": case.case,

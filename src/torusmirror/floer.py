@@ -16,7 +16,7 @@ from math import exp
 
 import numpy as np
 
-from .geometry import IntersectionPoint, arc_area, lift_components, simple_arcs, zero_crossings
+from .geometry import CIRCLE, IntersectionPoint
 from .localsys import TwistedTransport, transport_flat, transport_twisted
 
 #: relative singular-value cutoff; differential entries are transcendental
@@ -44,17 +44,9 @@ class FloerComplex:
         return self.n * len(self.f1)
 
 
-def _sorted_crossings(tt: TwistedTransport, window: float | None):
-    """Crossings and arcs of every component, in deterministic order."""
-    positives: list[IntersectionPoint] = []
-    negatives: list[IntersectionPoint] = []
-    arcs = []
-    for comp in sorted(tt.components(window), key=lambda c: c.shift):
-        points = zero_crossings(comp)
-        positives.extend(pt for pt in points if pt.is_positive)
-        negatives.extend(pt for pt in points if not pt.is_positive)
-        arcs.extend(simple_arcs(points))
-    return positives, negatives, arcs
+def _index(points) -> dict[int, int]:
+    """Block index of each crossing, keyed by the crossing's identity."""
+    return {id(pt): i for i, pt in enumerate(points)}
 
 
 def _warn_equal_direction_pairs(arcs) -> None:
@@ -69,22 +61,22 @@ def _warn_equal_direction_pairs(arcs) -> None:
         seen[key] = arc.direction
 
 
-def build_complex(tt: TwistedTransport, window: float | None = None) -> FloerComplex:
+def build_complex(tt: TwistedTransport) -> FloerComplex:
     """Assemble the complex from crossings, arcs, areas, and flat transports."""
     if not tt.system.is_quasi_unitary():
         warnings.warn(f"object {tt.id}: local system is not quasi-unitary; dimensions may shift")
-    positives, negatives, arcs = _sorted_crossings(tt, window)
-    _warn_equal_direction_pairs(arcs)
+    geo = tt.geometry
+    _warn_equal_direction_pairs(geo.arcs)
+    positives, negatives = geo.positives, geo.negatives
     n = tt.rank
-    col = {id(pt): i for i, pt in enumerate(positives)}
-    row = {id(pt): i for i, pt in enumerate(negatives)}
+    col, row = _index(positives), _index(negatives)
     d = np.zeros((n * len(negatives), n * len(positives)), dtype=complex)
-    for arc in arcs:
+    for arc in geo.arcs:
         monodromy = transport_flat(tt.system, arc.plus.component, arc.t_plus, arc.t_minus)
-        block = arc.direction * monodromy * exp(2.0 * np.pi * arc_area(arc))
+        block = arc.direction * monodromy * exp(2.0 * np.pi * arc.area)
         i, j = row[id(arc.minus)], col[id(arc.plus)]
         d[n * i : n * (i + 1), n * j : n * (j + 1)] += block
-    return FloerComplex(tuple(positives), tuple(negatives), n, d)
+    return FloerComplex(positives, negatives, n, d)
 
 
 def matrix_rank(d: np.ndarray, rank_tol: float = RANK_TOL) -> int:
@@ -101,24 +93,7 @@ def cohomology_dims(fc: FloerComplex, rank_tol: float = RANK_TOL) -> tuple[int, 
     return fc.dim_f0 - r, fc.dim_f1 - r
 
 
-def _unwrapped_neighbors(point: IntersectionPoint, negatives_on_comp: list[IntersectionPoint]):
-    """Nearest negative parameter to the left/right of a positive crossing,
-    unwrapped along the component (None at an infinite end)."""
-    comp = point.component
-    t = point.t0
-    ts = sorted(pt.t0 for pt in negatives_on_comp)
-    left = max((s for s in ts if s < t), default=None)
-    right = min((s for s in ts if s > t), default=None)
-    if comp.kind == "circle" and ts:
-        q = comp.parent.q
-        if left is None:
-            left = max(ts) - q
-        if right is None:
-            right = min(ts) + q
-    return left, right
-
-
-def boundary_transport_differential(tt: TwistedTransport, window: float | None = None) -> np.ndarray:
+def boundary_transport_differential(tt: TwistedTransport) -> np.ndarray:
     """The differential recomputed from distributional boundary terms.
 
     Each basis vector at a positive point extends horizontally over the
@@ -126,30 +101,32 @@ def boundary_transport_differential(tt: TwistedTransport, window: float | None =
     is supported at the interval's finite ends.  The matrix collects, per
     adjacent negative point, +transport to the right end and -transport to
     the left end (infinite ends decay and contribute nothing)."""
-    positives, negatives, _ = _sorted_crossings(tt, window)
+    geo = tt.geometry
     n = tt.rank
-    q = tt.graph.q
-    # crossings are distinct mod q on every component, so this key is unique
-    row = {(pt.component.shift, round(pt.t0 % q, 10)): i for i, pt in enumerate(negatives)}
-    d = np.zeros((n * len(negatives), n * len(positives)), dtype=complex)
-
-    def row_of(comp, t_unwrapped: float) -> int:
-        return row[(comp.shift, round(t_unwrapped % q, 10))]
-
-    for j, plus in enumerate(positives):
-        comp = plus.component
-        neg_here = [pt for pt in negatives if pt.component == comp]
-        left, right = _unwrapped_neighbors(plus, neg_here)
-        if right is not None:
-            i = row_of(comp, right)
-            d[n * i : n * (i + 1), n * j : n * (j + 1)] += transport_twisted(
-                tt.system, comp, plus.t0, right
-            )
-        if left is not None:
-            i = row_of(comp, left)
-            d[n * i : n * (i + 1), n * j : n * (j + 1)] -= transport_twisted(
-                tt.system, comp, plus.t0, left
-            )
+    col, row = _index(geo.positives), _index(geo.negatives)
+    d = np.zeros((n * len(row), n * len(col)), dtype=complex)
+    for comp, points in zip(geo.components, geo.crossings):
+        count = len(points)
+        for k, plus in enumerate(points):
+            if not plus.is_positive:
+                continue
+            j = col[id(plus)]
+            # signs alternate along a component, so the adjacent negative
+            # points are the neighbours in t; on a circle they wrap by q
+            for step, sign in ((+1, 1.0), (-1, -1.0)):
+                at = k + step
+                if comp.kind == CIRCLE:
+                    minus = points[at % count]
+                    t_end = minus.t0 + comp.parent.q * (at // count)
+                elif 0 <= at < count:
+                    minus = points[at]
+                    t_end = minus.t0
+                else:
+                    continue
+                i = row[id(minus)]
+                d[n * i : n * (i + 1), n * j : n * (j + 1)] += sign * transport_twisted(
+                    tt.system, comp, plus.t0, t_end
+                )
     return d
 
 

@@ -17,15 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DecayError, UnsupportedError, ValidationError
-from .geometry import (
-    CIRCLE,
-    LINE,
-    Harmonic,
-    LagrangianGraph,
-    LiftComponent,
-    lift_components,
-    zero_crossings,
-)
+from .geometry import CIRCLE, LINE, Harmonic, LagrangianGraph, LiftComponent, lift_components
 from .localsys import (
     LocalSystem,
     TwistedTransport,
@@ -94,12 +86,10 @@ class HorizontalCoefficient:
     def log_magnitude(self, s: float) -> float:
         return self.section.log_magnitude(s)
 
-    def decay_sigma(self) -> float:
-        g = self.component.parent
-        return abs(g.p) * g.q  # quadratic rate per lattice shift of q
-
     def tail_bound(self, lo_term: float, hi_term: float) -> float:
-        return (lo_term + hi_term) / (1.0 - math.exp(-math.pi * self.decay_sigma()))
+        g = self.component.parent
+        sigma = abs(g.p) * g.q  # quadratic rate per lattice shift of q
+        return (lo_term + hi_term) / (1.0 - math.exp(-math.pi * sigma))
 
 
 class CircleCoefficient:
@@ -174,29 +164,24 @@ class ThetaSection:
                 raise ValidationError("coefficient rank does not match the local system")
 
 
-def standard_section(tt: TwistedTransport, K: int = 25, window: float | None = None) -> ThetaSection:
+def standard_section(tt: TwistedTransport, K: int = 25) -> ThetaSection:
     """The distinguished section: on each positive-slope line component the
     horizontal coefficient anchored at its first positive crossing with
     vector e_0; for the zero-section-like case (p=0) the single-valued
     horizontal coefficient on the shift-0 circle."""
     g = tt.graph
+    e0 = np.zeros(tt.rank, dtype=complex)
+    e0[0] = 1.0
     coeffs = []
     if g.p > 0:
-        for comp in lift_components(g, window):
-            crossings = zero_crossings(comp)
-            plus = [pt for pt in crossings if pt.is_positive]
+        geo = tt.geometry
+        for comp, points in zip(geo.components, geo.crossings):
+            plus = [pt for pt in points if pt.is_positive]
             if not plus:
                 raise ValidationError(f"component {comp.label} has no positive crossing")
-            e0 = np.zeros(tt.rank, dtype=complex)
-            e0[0] = 1.0
             coeffs.append(HorizontalCoefficient(tt.system, comp, plus[0].t0, e0))
     elif g.p == 0:
-        zero_comp = [c for c in lift_components(g, window) if c.shift == 0]
-        if not zero_comp:
-            raise DecayError(f"object {g.id}: no shift-0 circle inside the window")
-        e0 = np.zeros(tt.rank, dtype=complex)
-        e0[0] = 1.0
-        coeffs.append(CircleCoefficient(tt.system, zero_comp[0], 0.0, e0))
+        coeffs.append(CircleCoefficient(tt.system, LiftComponent(g, CIRCLE, 0), 0.0, e0))
     else:
         raise DecayError(f"object {g.id}: p = {g.p} < 0 admits no decaying coefficients")
     return ThetaSection(tt, tuple(coeffs), K)

@@ -24,7 +24,7 @@ TWO_PI = 2.0 * math.pi
 LINE = "line"
 CIRCLE = "circle"
 
-#: default tolerance for locating roots of Y on a component
+#: tolerance for locating roots of Y on a component
 ROOT_TOL = 1e-12
 #: |Y'(root)| at or below this value is treated as a tangential crossing
 TRANSVERSALITY_TOL = 1e-6
@@ -240,7 +240,7 @@ def _scan_interval(comp: LiftComponent) -> tuple[float, float]:
     return lo, hi
 
 
-def _refine_root(f, fprime, lo, hi, tol):
+def _refine_root(f, fprime, lo, hi):
     flo = f(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -252,7 +252,7 @@ def _refine_root(f, fprime, lo, hi, tol):
             lo, flo = mid, fm
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < ROOT_TOL:
             break
     root = 0.5 * (lo + hi)
     # Newton polish; bisection already has us inside the basin
@@ -264,21 +264,21 @@ def _refine_root(f, fprime, lo, hi, tol):
         if not math.isfinite(step):
             break
         root -= step
-        if abs(step) < tol:
+        if abs(step) < ROOT_TOL:
             break
     return root
 
 
-def zero_crossings(
-    comp: LiftComponent,
-    tol: float = ROOT_TOL,
-    transversality_tol: float = TRANSVERSALITY_TOL,
-) -> list[IntersectionPoint]:
+def zero_crossings(comp: LiftComponent) -> list[IntersectionPoint]:
     """All roots of the branch function on the component, sorted by t and
     classified by the sign of Y' there.
 
+    A pair of roots that falls inside one scan bracket shows no sign change
+    at the bracket ends; it is found through the critical point between the
+    two roots, whose value has the opposite sign.
+
     Raises TransversalityError when a root is tangential: either |Y'| at a
-    located root is at most transversality_tol, or a critical point of the
+    located root is at most TRANSVERSALITY_TOL, or a critical point of the
     branch sits on the zero section (an even-order touch that bracketing
     alone would miss).
     """
@@ -303,21 +303,28 @@ def zero_crossings(
         if a == 0.0:
             roots.append(float(ts[i]))
         elif (a < 0) != (b < 0):
-            roots.append(_refine_root(f, fp, float(ts[i]), float(ts[i + 1]), tol))
+            roots.append(_refine_root(f, fp, float(ts[i]), float(ts[i + 1])))
     if n >= 1 and float(vals[n]) == 0.0:
         roots.append(float(ts[n]))
 
-    # critical points of the branch touching the zero section
+    # critical points of the branch: touching the zero section, or
+    # dipping across it and back within one bracket
     slopes = fp(ts)
     for i in range(n):
         a, b = float(slopes[i]), float(slopes[i + 1])
         if (a < 0) != (b < 0):
-            tc = _refine_root(fp, comp.slope_derivative, float(ts[i]), float(ts[i + 1]), tol)
-            if abs(f(tc)) <= TANGENCY_HEIGHT_TOL:
+            lo, hi = float(ts[i]), float(ts[i + 1])
+            tc = _refine_root(fp, comp.slope_derivative, lo, hi)
+            fc = f(tc)
+            if abs(fc) <= TANGENCY_HEIGHT_TOL:
                 raise TransversalityError(
                     f"component {comp.label}: tangential contact with the zero "
                     f"section near t = {tc:.6g}"
                 )
+            flo, fhi = float(vals[i]), float(vals[i + 1])
+            if flo != 0.0 and fhi != 0.0 and (fc < 0) != (flo < 0) and (fc < 0) != (fhi < 0):
+                roots.append(_refine_root(f, fp, lo, tc))
+                roots.append(_refine_root(f, fp, tc, hi))
 
     # dedupe (adjacent brackets can converge to one root) and wrap circles
     roots.sort()
@@ -336,14 +343,16 @@ def zero_crossings(
     points = []
     for r in uniq:
         d = fp(r)
-        if abs(d) <= transversality_tol:
+        if abs(d) <= TRANSVERSALITY_TOL:
             raise TransversalityError(
                 f"component {comp.label}: crossing at t = {r:.6g} has "
-                f"|Y'| = {abs(d):.3g} <= {transversality_tol:g}"
+                f"|Y'| = {abs(d):.3g} <= {TRANSVERSALITY_TOL:g}"
             )
         points.append(IntersectionPoint(comp, float(r), +1 if d > 0 else -1))
 
-    for prev, cur in zip(points, points[1:]):
+    # on a circle the last crossing is also followed by the first
+    following = points[1:] + points[:1] if comp.kind == CIRCLE else points[1:]
+    for prev, cur in zip(points, following):
         if prev.sign == cur.sign:
             raise NumericsError(
                 f"component {comp.label}: consecutive crossings at "
@@ -406,11 +415,29 @@ def simple_arcs(points: list[IntersectionPoint]) -> list[SimpleArc]:
     return arcs
 
 
-def arc_area(arc: SimpleArc) -> float:
-    """Oriented area weight A of an arc, by adaptive quadrature.
+@dataclass(frozen=True)
+class ObjectGeometry:
+    """The crossing geometry of one curve, computed once and read by every
+    route: the lift components in shift order, each component's crossings
+    sorted by t, and the simple arcs of all components with their areas."""
 
-    A = -integral of Y dt from the positive to the negative endpoint along
-    the traversal direction; recomputed from the endpoints (arc.area holds
-    the same value).
-    """
-    return _signed_area(arc.plus.component, arc.t_plus, arc.t_minus)
+    components: tuple[LiftComponent, ...]
+    crossings: tuple[tuple[IntersectionPoint, ...], ...]
+    arcs: tuple[SimpleArc, ...]
+
+    @property
+    def positives(self) -> tuple[IntersectionPoint, ...]:
+        return tuple(pt for points in self.crossings for pt in points if pt.is_positive)
+
+    @property
+    def negatives(self) -> tuple[IntersectionPoint, ...]:
+        return tuple(pt for points in self.crossings for pt in points if not pt.is_positive)
+
+
+def object_geometry(graph: LagrangianGraph) -> ObjectGeometry:
+    """Scan every lift component in the default window once and integrate
+    every simple arc once."""
+    components = tuple(lift_components(graph))
+    crossings = tuple(tuple(zero_crossings(comp)) for comp in components)
+    arcs = tuple(arc for points in crossings for arc in simple_arcs(points))
+    return ObjectGeometry(components, crossings, arcs)

@@ -10,12 +10,13 @@ evaluated through the exact harmonic antiderivative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import LINE, IntersectionPoint, LagrangianGraph, LiftComponent, lift_components
+from .geometry import LINE, IntersectionPoint, LagrangianGraph, LiftComponent, ObjectGeometry, object_geometry
 
 TWO_PI = 2.0 * math.pi
 
@@ -174,14 +175,7 @@ class TwistedTransport:
     def rank(self) -> int:
         return self.system.rank
 
-    def components(self, window: float | None = None) -> list[LiftComponent]:
-        return lift_components(self.graph, window)
-
-    def flat(self, comp: LiftComponent, t0: float, t1: float) -> np.ndarray:
-        return transport_flat(self.system, comp, t0, t1)
-
-    def twisted(self, comp: LiftComponent, t0: float, t1: float) -> np.ndarray:
-        return transport_twisted(self.system, comp, t0, t1)
-
-    def horizontal(self, comp: LiftComponent, anchor, v) -> HorizontalSection:
-        return horizontal_section(self.system, comp, anchor, v)
+    @cached_property
+    def geometry(self) -> ObjectGeometry:
+        """Components, crossings and arcs of the curve, built on first use."""
+        return object_geometry(self.graph)

@@ -170,6 +170,29 @@ class TestRunVerify:
         assert entry["errors"]
         assert not entry["pass"]
 
+    def test_unexpected_exception_fails_only_its_object(self, tmp_path, monkeypatch, capsys):
+        import torusmirror.app as app
+
+        real = app.boundary_transport_differential
+
+        def flaky(tt):
+            if tt.id == "bad":
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(tt)
+
+        monkeypatch.setattr(app, "boundary_transport_differential", flaky)
+        path = write_scene(
+            tmp_path,
+            scene_dict(object_dict(id="bad", p=-1, c=0.25), object_dict(id="good", p=0, c=0.3)),
+        )
+        assert main(["verify", "--scene", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        bad, good = report["objects"]
+        assert bad["errors"] == ["LinAlgError: SVD did not converge"]
+        assert not bad["pass"]
+        assert good["pass"] and not good["errors"]
+        assert report["pass"] is False
+
     def test_circle_object_skips_dbar(self):
         scene = scene_from_dict(scene_dict(object_dict(id="circ", p=0, c=0.3)))
         report = run_verify(scene)
@@ -296,3 +319,58 @@ class TestSamples:
     def test_emit_csv_refuses_empty(self, tmp_path):
         with pytest.raises(ValidationError):
             emit_csv([], tmp_path / "empty.csv")
+
+
+def test_each_component_scanned_and_each_arc_integrated_once(tmp_path, monkeypatch):
+    import torusmirror
+    import torusmirror.derham as derham
+    import torusmirror.floer as floer
+    import torusmirror.geometry as geometry
+
+    scans: dict[str, int] = {}
+    quadratures: dict[tuple, int] = {}
+    real_scan, real_area = geometry.zero_crossings, geometry._signed_area
+
+    def counted_scan(comp):
+        scans[comp.label] = scans.get(comp.label, 0) + 1
+        return real_scan(comp)
+
+    def counted_area(comp, t_from, t_to):
+        key = (comp.label, t_from, t_to)
+        quadratures[key] = quadratures.get(key, 0) + 1
+        return real_area(comp, t_from, t_to)
+
+    # every module that binds the scan under its own name gets the counter
+    for name in ("app", "cli", "derham", "floer", "fourier", "geometry", "localsys"):
+        module = getattr(torusmirror, name)
+        if hasattr(module, "zero_crossings"):
+            monkeypatch.setattr(module, "zero_crossings", counted_scan)
+    monkeypatch.setattr(geometry, "_signed_area", counted_area)
+
+    path = write_scene(
+        tmp_path,
+        scene_dict(
+            object_dict(id="line", c=0.5, wiggle=[(1, 0.0, 0.5)]),
+            object_dict(id="down", p=-1, c=0.5, wiggle=[(1, 0.0, -0.5)]),
+            object_dict(id="circle", p=0, c=0.0, wiggle=[(1, 0.0, 0.5)]),
+        ),
+    )
+
+    def full_verify():
+        assert run_verify(load_scene(path), workers=1).passed
+
+    def routes():
+        scene = load_scene(path)
+        rank_tol = scene.params.rank_tol
+        for tt in scene.objects:
+            fc = floer.build_complex(tt)
+            dims = floer.cohomology_dims(fc, rank_tol)
+            assert np.max(np.abs(fc.d - floer.boundary_transport_differential(tt))) <= 1e-9
+            assert derham.analytic_dims(tt, rank_tol=rank_tol) == dims
+
+    for sequence in (full_verify, routes):
+        scans.clear()
+        quadratures.clear()
+        sequence()
+        assert len(scans) > 3 and set(scans.values()) == {1}
+        assert len(quadratures) >= 6 and set(quadratures.values()) == {1}

@@ -74,7 +74,7 @@ class TestClassification:
 
     def test_eigenvalue_one_circle_detected(self):
         mono = [[math.exp(TWO_PI * 1.3)]]
-        cases = classify_components(brane(0, c=0.3, mono=mono), window=2.0)
+        cases = classify_components(brane(0, c=0.3, mono=mono))
         dims = {c.component.shift: case1_kernel_dim(c) for c in cases}
         assert dims[1] == 1
         assert all(v == 0 for shift, v in dims.items() if shift != 1)
@@ -236,5 +236,5 @@ def test_case_report_structure(wiggle_scene):
     assert len(report) == 2
     assert {entry["case"] for entry in report} == {CASE3A}
     assert all(set(entry) >= {"component", "case", "a", "b", "interval", "positives"} for entry in report)
-    circle_report = case_report(brane(0, c=0.3), window=1.0)
+    circle_report = case_report(brane(0, c=0.3))
     assert all("eigenvalue_one_dim" in entry for entry in circle_report)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -12,7 +12,7 @@ from torusmirror.geometry import (
     CIRCLE,
     LINE,
     LagrangianGraph,
-    arc_area,
+    LiftComponent,
     lift_components,
     signed_crossing_count,
     simple_arcs,
@@ -127,8 +127,8 @@ def test_wiggle_arcs_and_areas(wiggle_scene):
     first, second = arcs
     assert first.direction == +1 and second.direction == -1
     assert first.minus is second.minus  # both feed the single negative point
-    assert arc_area(first) == pytest.approx(WIGGLE_AREA, abs=1e-11)
-    assert arc_area(second) == pytest.approx(WIGGLE_AREA, abs=1e-11)  # symmetric scene
+    assert first.area == pytest.approx(WIGGLE_AREA, abs=1e-11)
+    assert second.area == pytest.approx(WIGGLE_AREA, abs=1e-11)  # symmetric scene
 
 
 def test_sin_hump_area():
@@ -141,16 +141,17 @@ def test_sin_hump_area():
     assert minus.t0 == pytest.approx(0.5, abs=1e-12)
     arcs = simple_arcs(pts)
     up = [a for a in arcs if a.direction == +1][0]
-    assert arc_area(up) == pytest.approx(-1.0 / math.pi, abs=1e-12)
+    assert up.area == pytest.approx(-1.0 / math.pi, abs=1e-12)
     # reversing the traversal of the same hump negates the line integral
-    from torusmirror.geometry import SimpleArc
+    from torusmirror.geometry import _make_arc
 
-    reversed_hump = SimpleArc(up.plus, up.minus, up.t_minus, up.t_plus, -1, -up.area)
-    assert arc_area(reversed_hump) == pytest.approx(1.0 / math.pi, abs=1e-12)
+    reversed_hump = _make_arc(up.plus, up.minus, up.t_minus, up.t_plus)
+    assert reversed_hump.direction == -1
+    assert reversed_hump.area == pytest.approx(1.0 / math.pi, abs=1e-12)
     # the complementary wrap-around arc sits below the axis, so it is again disc-like
     down = [a for a in arcs if a.direction == -1][0]
     assert down.t_plus == pytest.approx(1.0, abs=1e-12)  # wrap-around pair uses t0 + q
-    assert arc_area(down) == pytest.approx(-1.0 / math.pi, abs=1e-12)
+    assert down.area == pytest.approx(-1.0 / math.pi, abs=1e-12)
 
 
 def test_area_additive_under_concatenation():
@@ -219,3 +220,64 @@ def test_signs_alternate_on_dense_scene():
         signs = [p.sign for p in zero_crossings(comp)]
         assert all(a != b for a, b in zip(signs, signs[1:]))
         assert sum(signs) == 1  # each upward line carries one net positive
+
+
+def _trig_polynomial_roots(g):
+    """Oracle for p = 0: the roots of Y on [0, q) are the unit-circle roots of
+    z^M Y with z = exp(2 pi i t / q), a polynomial of degree 2M (M the top
+    harmonic order), found as companion-matrix eigenvalues by np.roots.
+    Returns the roots as t values and the distance to the unit circle of the
+    nearest root that is not on it."""
+    top = max(h.m for h in g.wiggle)
+    coeffs = np.zeros(2 * top + 1, dtype=complex)  # coeffs[k] multiplies z^k
+    coeffs[top] += g.c
+    for h in g.wiggle:
+        coeffs[top + h.m] += 0.5 * (h.a - 1j * h.b)
+        coeffs[top - h.m] += 0.5 * (h.a + 1j * h.b)
+    z = np.roots(coeffs[::-1])
+    off_circle = np.abs(np.abs(z) - 1.0)
+    on = off_circle < 1e-9
+    ts = np.sort((np.angle(z[on]) / (2 * math.pi) * g.q) % g.q)
+    gap = float(np.min(off_circle[~on], initial=math.inf))
+    return ts, gap
+
+
+# zero or clearly nonzero, so the oracle's polynomial degree is well defined
+AMPLITUDES = st.one_of(st.just(0.0), st.floats(1e-3, 0.5), st.floats(-0.5, -1e-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.integers(1, 3),
+    harmonics=st.lists(
+        st.tuples(st.integers(1, 3), AMPLITUDES, AMPLITUDES),
+        min_size=1,
+        max_size=3,
+    ),
+    log_eps=st.floats(-7.0, -3.0),
+    touch_maximum=st.booleans(),
+)
+def test_circle_crossings_match_trig_polynomial_roots(q, harmonics, log_eps, touch_maximum):
+    # Offset the curve so that its lowest (or highest) point crosses the zero
+    # section by eps: two transversal roots close together, which one scan
+    # bracket can hold without a sign change at its ends.
+    flat = make_graph(p=0, q=q, c=0.0, wiggle=harmonics)
+    sign = -1.0 if touch_maximum else 1.0
+    ts = np.linspace(0.0, q, 1 << 14, endpoint=False)
+    t = float(ts[np.argmin(sign * flat.height(ts))])
+    for _ in range(6):  # Newton on Y' sharpens the sampled extremum
+        curvature = flat.slope_derivative(t)
+        if curvature == 0.0:
+            break
+        t -= flat.slope(t) / curvature
+    c = -flat.height(t) - sign * 10.0**log_eps
+    g = make_graph(p=0, q=q, c=c, wiggle=harmonics)
+    want, gap = _trig_polynomial_roots(g)
+    assume(gap > 1e-4)  # no root of the oracle sits near the circle undecided
+    try:
+        got = [pt.t0 for pt in zero_crossings(LiftComponent(g, CIRCLE, 0))]
+    except TransversalityError:
+        return  # tangential or nearly so; only transversal scenes count
+    assert len(got) == len(want)
+    for a, b in zip(sorted(got), want):
+        assert min(abs(a - b), q - abs(a - b)) <= 1e-8

@@ -172,8 +172,8 @@ def test_mixed_moduli_reported_honestly():
 def test_twisted_transport_pairing():
     g = make_graph(p=1, q=1, c=0.5, wiggle=[(1, 0.0, 0.5)])
     tt = TwistedTransport(g, trivial_system(2))
-    (comp,) = tt.components()
+    (comp,) = lift_components(g)
     assert tt.rank == 2
-    assert np.allclose(tt.flat(comp, 0.1, 0.9), np.eye(2))
-    m = tt.twisted(comp, 0.0, 1.0)
+    assert np.allclose(transport_flat(tt.system, comp, 0.1, 0.9), np.eye(2))
+    m = transport_twisted(tt.system, comp, 0.0, 1.0)
     assert np.allclose(m, np.eye(2) * m[0, 0])
