@@ -51,9 +51,10 @@ def trivial_system(n: int = 1) -> LocalSystem:
     return LocalSystem(np.eye(n, dtype=complex))
 
 
-def _seam_crossings(q: int, t0: float, t1: float) -> int:
-    """Net positively-oriented seam crossings on the half-open path (t0, t1]."""
-    return math.floor(t1 / q) - math.floor(t0 / q)
+def _seam_crossings(q: int, t0: float, t1):
+    """Net positively-oriented seam crossings on the half-open path (t0, t1];
+    t1 may be an array."""
+    return np.floor(np.asarray(t1) / q).astype(int) - math.floor(t0 / q)
 
 
 def transport_flat(system: LocalSystem, comp: LiftComponent, t0: float, t1: float) -> np.ndarray:
@@ -64,8 +65,9 @@ def transport_flat(system: LocalSystem, comp: LiftComponent, t0: float, t1: floa
     return np.linalg.matrix_power(system.monodromy, k)
 
 
-def twist_exponent(comp: LiftComponent, t0: float, t1: float) -> float:
-    """log of the scalar twist factor: -2*pi * integral of Y~ from t0 to t1."""
+def twist_exponent(comp: LiftComponent, t0: float, t1):
+    """log of the scalar twist factor: -2*pi * integral of Y~ from t0 to t1;
+    t1 may be an array."""
     return -TWO_PI * (comp.height_primitive(t1) - comp.height_primitive(t0))
 
 
@@ -74,12 +76,39 @@ def transport_twisted(system: LocalSystem, comp: LiftComponent, t0: float, t1: f
     return transport_flat(system, comp, t0, t1) * math.exp(twist_exponent(comp, t0, t1))
 
 
+def log_norm(vectors: np.ndarray) -> np.ndarray:
+    """log of the Euclidean norm over the last axis (-inf for a zero vector),
+    scaled by the largest entry so that no square overflows."""
+    mags = np.abs(vectors)
+    top = mags.max(axis=-1)
+    ratios = mags / np.where(top > 0.0, top, 1.0)[..., None]
+    with np.errstate(divide="ignore"):
+        return np.log(top) + 0.5 * np.log(np.sum(ratios * ratios, axis=-1))
+
+
+def _power_table(monodromy: np.ndarray, v: np.ndarray, k_lo: int, k_hi: int) -> np.ndarray:
+    """Rows T^k v for k_lo <= k <= k_hi (a range that holds 0), built outward
+    from v by repeated multiplication, with T^-1 below zero.  Each row is the
+    same whatever range is asked for."""
+    rows = [v]
+    for _ in range(k_hi):
+        rows.append(monodromy @ rows[-1])
+    if k_lo < 0:
+        inverse = np.linalg.inv(monodromy)
+        below = [inverse @ v]
+        for _ in range(-k_lo - 1):
+            below.append(inverse @ below[-1])
+        rows = below[::-1] + rows
+    return np.array(rows)
+
+
 @dataclass(frozen=True)
 class HorizontalSection:
     """The horizontal section through (anchor, v): s(t) = transport(anchor -> t) v.
 
     decays is True exactly when the section is rapidly decreasing in both
     directions along the component (Gaussian weight of a positive-slope line).
+    Every method takes a scalar t or an array of t.
     """
 
     system: LocalSystem
@@ -88,16 +117,28 @@ class HorizontalSection:
     vector: np.ndarray
     decays: bool
 
-    def __call__(self, t: float) -> np.ndarray:
-        return transport_twisted(self.system, self.component, self.anchor_t, t) @ self.vector
+    def flat_and_twist(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """s(t) = flat * exp(twist): the flat transport T^k v, shape t.shape + (n,),
+        and the log of the area weight, shape t.shape.
 
-    def log_magnitude(self, t: float) -> float:
+        T^k v is built once for the seam counts k that the array needs; the
+        twist is the exact primitive on the whole array.
+        """
+        t = np.asarray(t, dtype=float)
+        k = _seam_crossings(self.component.parent.q, self.anchor_t, t)
+        k_lo, k_hi = int(k.min(initial=0)), int(k.max(initial=0))
+        flat = _power_table(self.system.monodromy, self.vector, k_lo, k_hi)[k - k_lo]
+        return flat, np.asarray(twist_exponent(self.component, self.anchor_t, t))
+
+    def __call__(self, t) -> np.ndarray:
+        flat, twist = self.flat_and_twist(t)
+        return flat * np.exp(twist)[..., None]
+
+    def log_magnitude(self, t):
         """log |s(t)| computed without under/overflow for far t."""
-        flat = transport_flat(self.system, self.component, self.anchor_t, t) @ self.vector
-        norm = float(np.linalg.norm(flat))
-        if norm == 0.0:
-            return -math.inf
-        return math.log(norm) + twist_exponent(self.component, self.anchor_t, t)
+        flat, twist = self.flat_and_twist(t)
+        out = log_norm(flat) + twist
+        return out if out.shape else float(out)
 
 
 def horizontal_section(

@@ -8,6 +8,9 @@ import pytest
 from conftest import random_unitary
 
 from torusmirror.app import (
+    DBAR_SAMPLE_POINTS,
+    DBAR_STEP,
+    DBAR_STEP_MIN,
     Scene,
     SceneParams,
     emit_csv,
@@ -21,6 +24,7 @@ from torusmirror.app import (
 )
 from torusmirror.cli import main
 from torusmirror.errors import TransversalityError, ValidationError
+from torusmirror.fourier import MirrorPoint, ThetaSection, dbar_residual, standard_section
 
 
 def object_dict(id="canonical", q=1, p=1, c=0.0, wiggle=(), monodromy=None, rank=None):
@@ -49,6 +53,9 @@ def write_scene(tmp_path, data, name="scene.json"):
     return str(path)
 
 
+O13_WIGGLE = [(1, 0.46332, -0.13668), (2, -0.28601, 0.01399), (3, -0.02287, -0.17713), (4, 0.00487, 0.14513)]
+O13_MONODROMY = [[[0.6, 0.0], [0.0, 0.8]], [[0.0, 0.8], [0.6, 0.0]]]
+O13 = object_dict(id="o13", p=3, c=0.58028, wiggle=O13_WIGGLE, monodromy=O13_MONODROMY)
 TANGENTIAL = object_dict(id="tangent", c=-0.5, wiggle=[(1, 0.0, 1.0 / (2 * math.pi))])
 
 
@@ -192,6 +199,36 @@ class TestRunVerify:
         assert not bad["pass"]
         assert good["pass"] and not good["errors"]
         assert report["pass"] is False
+
+    def test_dbar_step_retry_clears_stencil_error(self):
+        # four harmonics: at h = 1e-3 the stencil's own O(h^4) error is ~1e-5
+        scene = scene_from_dict(scene_dict(O13))
+        section = standard_section(scene.objects[0])
+        coarse = max(dbar_residual(section, MirrorPoint(t, x), DBAR_STEP) for t, x in DBAR_SAMPLE_POINTS)
+        assert coarse > scene.params.dbar_tol
+        entry = run_verify(scene).objects[0]
+        assert entry["pass"] and entry["checks"]["dbar_ok"]
+        assert entry["dbar_step"] == DBAR_STEP / 2
+        assert entry["dbar_residual_max"] <= scene.params.dbar_tol
+
+    def test_dbar_step_retry_keeps_a_real_fault(self, monkeypatch):
+        import torusmirror.app as app
+
+        tt = scene_from_dict(scene_dict(O13)).objects[0]
+        wiggle = [(1, 0.46432, -0.13668)] + O13_WIGGLE[1:]
+        perturbed = scene_from_dict(
+            scene_dict(object_dict(id="o13", p=3, c=0.58028, wiggle=wiggle, monodromy=O13_MONODROMY))
+        )
+        # coefficients of a slightly different curve: not holomorphic for tt
+        wrong = ThetaSection(tt, standard_section(perturbed.objects[0]).coefficients)
+        h = DBAR_STEP
+        while h >= DBAR_STEP_MIN:
+            assert max(dbar_residual(wrong, MirrorPoint(t, x), h) for t, x in DBAR_SAMPLE_POINTS) > 1e-6
+            h /= 2
+        monkeypatch.setattr(app, "standard_section", lambda tt, K: wrong)
+        entry = run_verify(Scene((tt,))).objects[0]
+        assert not entry["checks"]["dbar_ok"] and not entry["pass"]
+        assert entry["dbar_residual_max"] > 1e-6
 
     def test_circle_object_skips_dbar(self):
         scene = scene_from_dict(scene_dict(object_dict(id="circ", p=0, c=0.3)))

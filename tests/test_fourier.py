@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from torusmirror.errors import DecayError, UnsupportedError
+import torusmirror.fourier as fourier
+from torusmirror.errors import DecayError, NumericsError, UnsupportedError
 from torusmirror.fourier import (
     CircleCoefficient,
     HorizontalCoefficient,
@@ -19,6 +22,7 @@ from torusmirror.fourier import (
     standard_section,
     tensor_compat_check,
     theta_eval,
+    theta_eval_batch,
     unit_object,
     zero_section_of,
 )
@@ -281,3 +285,109 @@ def test_tensor_compat_unsupported_shapes():
     down = TwistedTransport(make_graph(p=-1, q=1, id="d"), trivial_system(1))
     with pytest.raises(UnsupportedError):
         tensor_compat_check(down, canonical_object())
+
+
+def direct_theta(tt, t, x):
+    """Independent lattice sum of the standard section at (t, x): every lift
+    within 40 lattice shifts of the anchor, one matrix_power per term.
+    Returns the values (q, n) and the sum of the terms' magnitudes."""
+    g = tt.graph
+    e0 = np.zeros(tt.rank, dtype=complex)
+    e0[0] = 1.0
+    values = np.zeros((g.q, tt.rank), dtype=complex)
+    magnitude = 0.0
+    for comp, points in zip(tt.geometry.components, tt.geometry.crossings):
+        anchor = next(pt.t0 for pt in points if pt.is_positive)
+        for j in range(g.q):
+            center = round((anchor - t - j) / g.q)
+            for m in range(center - 40, center + 41):
+                s = t + j + g.q * m
+                k = math.floor(s / g.q) - math.floor(anchor / g.q)
+                weight = math.exp(-2 * math.pi * (comp.height_primitive(s) - comp.height_primitive(anchor)))
+                term = np.linalg.matrix_power(tt.system.monodromy, k) @ e0 * weight
+                values[j] += term * cmath.exp(2j * math.pi * x * comp.height(s))
+                magnitude += float(np.linalg.norm(term))
+    return values, magnitude
+
+
+@st.composite
+def positive_objects(draw):
+    p = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 3))
+    assume(math.gcd(p, q) == 1)
+    c = draw(st.floats(-1.0, 1.0))
+    # |W'| <= 2*pi*0.08/q < p/q keeps the line monotone, hence transversal
+    wiggle = draw(st.lists(st.tuples(st.just(1), st.floats(-0.04, 0.04), st.floats(-0.04, 0.04)), max_size=1))
+    moduli = draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=2))
+    phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=len(moduli), max_size=len(moduli)))
+    mono = np.diag([r * cmath.exp(1j * a) for r, a in zip(moduli, phases)])
+    if len(moduli) == 2:
+        mono[0, 1] = draw(st.floats(-1.0, 1.0))  # not normal
+    return TwistedTransport(make_graph(p=p, q=q, c=c, wiggle=wiggle), LocalSystem(mono))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tt=positive_objects(),
+    K=st.sampled_from([4, 25]),
+    points=st.lists(st.tuples(st.floats(0.0, 0.999), st.floats(-1.0, 1.0)), min_size=1, max_size=4),
+)
+def test_theta_batch_matches_direct_lattice_sum(tt, K, points):
+    sec = standard_section(tt, K)
+    ts, xs = np.array(points).T
+    values, bounds = theta_eval_batch(sec, ts, xs)
+    assert values.shape == (len(points), tt.graph.q, tt.rank)
+    for i, (t, x) in enumerate(points):
+        want, magnitude = direct_theta(tt, t, x)
+        assert np.max(np.abs(values[i] - want)) <= bounds[i] + 1e-12 * magnitude
+    # one point alone is row 0 of the batch, bit for bit
+    single = theta_eval(sec, MirrorPoint(ts[0], xs[0]))
+    assert np.array_equal(single.values, values[0])
+    assert single.trunc_bound == bounds[0]
+
+
+def test_theta_batch_refuses_a_peak_on_the_scan_edge():
+    # log|T^k| = 2*pi*a*k against the weight -pi*k^2 puts the peak a shifts
+    # from the nominal one; the scan reaches K + PEAK_SCAN_PAD = 10 shifts
+    g = make_graph(p=1, q=1, id="steep")
+    inside = TwistedTransport(g, LocalSystem([[math.exp(2 * math.pi * 8.6)]]))
+    assert np.all(np.isfinite(theta_eval(standard_section(inside, K=1), MirrorPoint(0.3, 0.2)).values))
+
+    outside = TwistedTransport(g, LocalSystem([[math.exp(2 * math.pi * 15.0)]]))
+    # anchored past the peak, so no power T^k with k > 0 is needed (or overflows)
+    comp = outside.geometry.components[0]
+    sec = ThetaSection(outside, (HorizontalCoefficient(outside.system, comp, 16.0, [1.0]),), K=1)
+    with pytest.raises(NumericsError, match="steep/r0"):
+        theta_eval(sec, MirrorPoint(0.3, 0.2))
+
+
+def test_dbar_residual_is_one_batch(monkeypatch):
+    g = make_graph(p=3, q=2, c=0.2, wiggle=[(1, 0.05, -0.03)])
+    tt = TwistedTransport(g, LocalSystem([[0.6, 0.8j], [0.8j, 0.6]]))
+    sec = standard_section(tt)
+    batches, powers = [], []
+    batch, matrix_power = fourier.theta_eval_batch, np.linalg.matrix_power
+
+    def counted_batch(*args):
+        batches.append(args)
+        return batch(*args)
+
+    def counted_power(*args):
+        powers.append(args)
+        return matrix_power(*args)
+
+    monkeypatch.setattr(fourier, "theta_eval_batch", counted_batch)
+    monkeypatch.setattr(np.linalg, "matrix_power", counted_power)
+    dbar_residual(sec, MirrorPoint(0.35, 0.2))
+    assert len(batches) == 1 and len(batches[0][1]) == 9
+    assert len(powers) <= len(sec.coefficients)
+
+
+def test_theta_batch_chunks_are_invisible(monkeypatch, rng):
+    g = make_graph(p=2, q=3, c=0.1, wiggle=[(1, 0.03, 0.02)])
+    sec = standard_section(TwistedTransport(g, LocalSystem([[0.0, 1.5], [1.0, 0.2]])))
+    ts, xs = rng.uniform(0.0, 1.0, size=(2, 7))
+    values, bounds = theta_eval_batch(sec, ts, xs)
+    monkeypatch.setattr(fourier, "BATCH_CHUNK", 3)
+    chunked, chunked_bounds = theta_eval_batch(sec, ts, xs)
+    assert np.array_equal(chunked, values) and np.array_equal(chunked_bounds, bounds)
