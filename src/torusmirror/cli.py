@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .app import Scene, emit_csv, load_scene, render_svg, run_verify, sample_section, save_scene
@@ -90,11 +91,14 @@ def _cmd_floer(args) -> int:
 def _cmd_derham(args) -> int:
     scene = load_scene(args.scene)
     tt = scene.get(args.object)
-    h = 1.0 / args.grid if args.grid else scene.params.grid_h
-    window = args.window if args.window else scene.params.window
-    floer = cohomology_dims(build_complex(tt), scene.params.rank_tol)
-    analytic = analytic_dims(tt, rank_tol=scene.params.rank_tol)
-    discretized = discretized_dims(tt, h=h, big_t=window)
+    params = scene.params
+    if args.grid is not None:  # --grid 0 gives grid_h = inf, which validation rejects
+        params = replace(params, grid_h=1.0 / args.grid if args.grid else float("inf"))
+    if args.window is not None:
+        params = replace(params, window=args.window)
+    floer = cohomology_dims(build_complex(tt), params.rank_tol)
+    analytic = analytic_dims(tt, rank_tol=params.rank_tol)
+    discretized = discretized_dims(tt, h=params.grid_h, big_t=params.window)
     _emit(
         {
             "object": tt.id,

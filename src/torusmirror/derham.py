@@ -7,10 +7,11 @@ assembly: its dimensions are the intersection complex's cohomology, which
 accounts for every open piece, plus (k, k) for each closed circle whose
 twisted monodromy has an eigenvalue-1 block of size k.  The explicit
 integral solver for the half-infinite pieces is spot-checked on random
-right-hand sides.  The discretized route assembles the covariant
-derivative on a midpoint grid per component, with the seam matrix
-inserted where the lattice meets t in q*Z, and counts kernel and cokernel
-through banded eigensolves.
+right-hand sides.  The discretized route puts the covariant derivative on
+a midpoint grid per line, with the seam matrix where the lattice meets t
+in q*Z.  Its index is +-n by shape; one banded Cholesky factor certifies
+the singular-value margin of the full-rank side, which fixes kernel and
+cokernel.  Circles reduce to the discrete loop propagator.
 
 Case tags: case1 = closed circle (no crossings); case2 = finite interval
 between two negative points; case3a = interval with an infinite end and
@@ -24,10 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.integrate import quad
-from scipy.linalg import eigvals_banded
+from scipy.linalg import LinAlgError, cholesky_banded
 
 from .errors import NumericsError, UnsupportedError, ValidationError, WindowError
 from .floer import RANK_TOL, build_complex, cohomology_dims, matrix_rank
@@ -49,6 +48,9 @@ PROPAGATOR_TOL = 1e-3
 #: relative singular-value cutoff for the discretized operator: the discrete
 #: kernel/cokernel vectors carry O(h^2) residuals, far above floer's 1e-9
 DISCRETE_RANK_TOL = 1e-5
+
+#: shift halvings tried to bracket a failed certificate's margin
+_MARGIN_HALVINGS = 40
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
@@ -235,73 +237,62 @@ def analytic_dims(tt: TwistedTransport, rank_tol: float = RANK_TOL) -> tuple[int
 # -- discretized route --------------------------------------------------
 
 
-def _count_banded(gram: sp.spmatrix, bandwidth: int, threshold_sq: float) -> int:
-    dim = gram.shape[0]
-    band = np.zeros((bandwidth + 1, dim), dtype=complex)
-    for k in range(bandwidth + 1):
-        diag = gram.diagonal(-k)
-        band[k, : len(diag)] = diag
-    vals = eigvals_banded(band, lower=True, select="v", select_range=(-1.0, threshold_sq))
-    return len(vals)
-
-
-def _count_small_eigs(gram: sp.spmatrix, n: int, threshold_sq: float) -> int:
-    """Number of eigenvalues of the Gram matrix at or below threshold_sq.
-
-    At most n of them can be small (the fiber dimension bounds kernel and
-    cokernel), so shift-invert for the few smallest suffices; any failure
-    or a non-bracketing result falls back to the full banded count."""
-    dim = gram.shape[0]
-    if dim <= 1500:
-        return _count_banded(gram, 2 * n - 1, threshold_sq)
-    try:
-        vals = spla.eigsh(
-            gram.tocsc(),
-            k=min(4 * n + 4, dim - 2),
-            sigma=-threshold_sq,
-            which="LM",
-            return_eigenvectors=False,
-        )
-        vals = np.sort(vals.real)
-        if vals[-1] <= threshold_sq:
-            raise NumericsError("smallest-eigenvalue search did not bracket the threshold")
-        return int(np.sum(vals <= threshold_sq))
-    except (spla.ArpackError, NumericsError, RuntimeError):
-        return _count_banded(gram, 2 * n - 1, threshold_sq)
-
-
-def _sigma_max_bound(gram: sp.spmatrix) -> float:
-    row_sums = np.abs(gram).sum(axis=1)
-    return math.sqrt(float(row_sums.max()))
-
-
-def _assemble_line_operator(
+def _line_gram_band(
     comp: LiftComponent, t_mono: np.ndarray, lo: float, hi: float, hp: float, res: int
-) -> sp.csr_matrix:
-    """Midpoint rows for D = d/dt + 2*pi*Y~ between adjacent nodes.  Nodes
-    sit at lattice midpoints, so each row's center is a lattice point; where
-    that point lies on q*Z the flat seam matrix multiplies the left node.
-    Growing-weight ends (p < 0) get decay rows at both truncations."""
+) -> np.ndarray:
+    """Lower band (bandwidth 2n-1) of the full-rank side's Gram of the
+    midpoint operator D = d/dt + 2*pi*Y~; band[k, j] holds G[j + k, j].
+
+    Row i of D is left_i A_i on node i and right_i on node i+1.  Nodes sit
+    at lattice midpoints, so each row's center is a lattice point: where it
+    lies on q*Z, A_i is the flat seam matrix, elsewhere I.  p > 0: no
+    boundary rows, n fewer rows than columns, G = D D^H.  p < 0: decay rows
+    at both truncations, n more rows than columns, G = D^H D."""
     g = comp.parent
     n = t_mono.shape[0]
-    k0 = math.floor(lo / hp)
     n_nodes = int(round((hi - lo) / hp))
-    lattice = k0 + 1 + np.arange(n_nodes - 1)
+    lattice = math.floor(lo / hp) + 1 + np.arange(n_nodes - 1)
     ys = comp.height(lattice * hp)
     left = -1.0 / hp + math.pi * ys
-    right = 1.0 / hp + math.pi * ys
-    d = sp.diags(left.astype(complex), 0, shape=(n_nodes - 1, n_nodes)) + sp.diags(
-        right.astype(complex), 1, shape=(n_nodes - 1, n_nodes)
-    )
-    d = sp.kron(d, sp.identity(n), format="lil")
-    for i in np.nonzero(lattice % (g.q * res) == 0)[0]:
-        d[i * n : (i + 1) * n, i * n : (i + 1) * n] = left[i] * t_mono
-    d = d.tocsr()
-    if g.p < 0:
-        pen_left = sp.eye(n, n_nodes * n, k=0, dtype=complex, format="csr") * (1.0 / hp)
-        pen_right = sp.eye(n, n_nodes * n, k=(n_nodes - 1) * n, dtype=complex, format="csr") * (1.0 / hp)
-        d = sp.vstack([pen_left, d, pen_right], format="csr")
-    return d
+    right = (1.0 / hp + math.pi * ys)[:, None, None]
+    eye = np.eye(n)
+    blocks = np.where((lattice % (g.q * res) == 0)[:, None, None], t_mono, eye) * left[:, None, None]
+    blocks_h = blocks.conj().transpose(0, 2, 1)
+    if g.p > 0:
+        diag, sub = blocks @ blocks_h + right**2 * eye, right[:-1] * blocks[1:]
+    else:
+        diag = np.zeros((n_nodes, n, n), dtype=complex)
+        diag[:-1] += blocks_h @ blocks
+        diag[1:] += right**2 * eye
+        diag[[0, -1]] += eye / (hp * hp)
+        sub = right * blocks
+    # block column i holds G's rows i*n .. i*n + 2n - 1; skew them into the band
+    stacked = np.concatenate([diag, np.concatenate([sub, np.zeros_like(sub[:1])])], axis=1)
+    rows = np.arange(2 * n)[:, None] + np.arange(n)
+    band = np.where(rows < 2 * n, stacked[:, np.minimum(rows, 2 * n - 1), np.arange(n)], 0.0)
+    return band.transpose(1, 0, 2).reshape(2 * n, -1)
+
+
+def _gershgorin_bound(band: np.ndarray) -> float:
+    """Largest absolute row sum of the Hermitian matrix stored in band."""
+    mag = np.abs(band)
+    rows = mag.sum(axis=0)
+    for k in range(1, len(mag)):
+        rows[k:] += mag[k, :-k]
+    return float(rows.max())
+
+
+def _factors(band: np.ndarray, sigma: float) -> bool:
+    """Whether band - sigma^2 I has a Cholesky factor, i.e. every singular
+    value of the full-rank side exceeds sigma.  The factor is backward
+    stable, so rounding stays at O(eps * |G|), far below the cutoff^2."""
+    shifted = band.copy()
+    shifted[0] -= sigma * sigma
+    try:
+        cholesky_banded(shifted, lower=True, check_finite=False)
+    except LinAlgError:
+        return False
+    return True
 
 
 def _validate_window(comp: LiftComponent, lo: float, hi: float) -> None:
@@ -327,19 +318,18 @@ def _line_component_dims(
     vertex = -(g.c + comp.shift) * g.q / g.p
     lo, hi = vertex - big_t, vertex + big_t
     _validate_window(comp, lo, hi)
-    d = _assemble_line_operator(comp, t_mono, lo, hi, hp, res)
-    n = t_mono.shape[0]
-    gram_cols = (d.getH() @ d).tocsr()
-    gram_rows = (d @ d.getH()).tocsr()
-    threshold = rank_tol * _sigma_max_bound(gram_cols)
-    ker = _count_small_eigs(gram_cols, n, threshold * threshold)
-    coker = _count_small_eigs(gram_rows, n, threshold * threshold)
-    if d.shape[1] - ker != d.shape[0] - coker:
+    band = _line_gram_band(comp, t_mono, lo, hi, hp, res)
+    threshold = rank_tol * math.sqrt(_gershgorin_bound(band))
+    # halve the shift until a factor exists; that brackets sigma_min / threshold
+    k = next((k for k in range(_MARGIN_HALVINGS) if _factors(band, threshold * 2.0**-k)), _MARGIN_HALVINGS)
+    if k:
+        low = 2.0**-k if k < _MARGIN_HALVINGS else 0.0
         raise NumericsError(
-            f"component {comp.label}: kernel/cokernel counts disagree on rank "
-            f"({d.shape[1]}-{ker} vs {d.shape[0]}-{coker})"
+            f"component {comp.label}: the full-rank side has a singular value at or below "
+            f"the cutoff {threshold:.3g}; margin sigma_min/cutoff in ({low:.3g}, {2.0 ** (1 - k):.3g}]"
         )
-    return ker, coker
+    n = t_mono.shape[0]
+    return (n, 0) if g.p > 0 else (0, n)
 
 
 def _circle_propagator_dims(comp: LiftComponent, t_mono: np.ndarray, hp: float, res: int) -> tuple[int, int]:
@@ -363,10 +353,13 @@ def discretized_dims(
     """Kernel and cokernel of the discretized covariant derivative.
 
     Lines live on [vertex - big_t, vertex + big_t] with nodes at lattice
-    midpoints, so every seam falls exactly between two nodes; decaying ends
-    need no boundary rows (p > 0), growing ends get decay rows at both
-    truncations (p < 0).  Circles reduce to the discrete loop propagator,
-    counting eigenvalues within PROPAGATOR_TOL of 1.
+    midpoints, so every seam falls exactly between two nodes.  A line's
+    index is n (p > 0, no boundary rows) or -n (p < 0, decay rows at both
+    truncations) by shape; one banded Cholesky factor certifies that the
+    full-rank side has no singular value at or below rank_tol times the
+    square root of its Gram's Gershgorin bound, else NumericsError names
+    the component and the margin.  Circles count eigenvalues of the
+    discrete loop propagator within PROPAGATOR_TOL of 1.
     """
     if h > 1e-2:
         raise ValidationError(f"grid step h = {h} too coarse; need h <= 1e-2")

@@ -362,10 +362,10 @@ def zero_crossings(comp: LiftComponent) -> list[IntersectionPoint]:
     return points
 
 
-def signed_crossing_count(graph: LagrangianGraph, window: float | None = None) -> int:
+def signed_crossing_count(graph: LagrangianGraph) -> int:
     """Sum over components of (#positive - #negative) crossings; equals p."""
     total = 0
-    for comp in lift_components(graph, window):
+    for comp in lift_components(graph):
         for pt in zero_crossings(comp):
             total += pt.sign
     return total

@@ -277,6 +277,14 @@ class TestCli:
         assert report["floer_dims"] == report["analytic_dims"] == report["discretized_dims"] == [1, 0]
         assert report["cases"][0]["case"] == "case3a"
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--grid", "-5"), ("--grid", "0"), ("--grid", "50"), ("--window", "-6")]
+    )
+    def test_derham_bad_grid_or_window_exits_2(self, tmp_path, capsys, flag, value):
+        path = write_scene(tmp_path, scene_dict(object_dict()))
+        assert main(["derham", "--scene", path, "--object", "canonical", flag, value]) == 2
+        assert "params:" in capsys.readouterr().err
+
     def test_fourier_sample_csv(self, tmp_path, capsys):
         path = write_scene(tmp_path, scene_dict(object_dict()))
         out = tmp_path / "theta.csv"
