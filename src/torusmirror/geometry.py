@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericsError, TransversalityError, ValidationError
 
@@ -30,6 +29,13 @@ ROOT_TOL = 1e-12
 TRANSVERSALITY_TOL = 1e-6
 #: |Y| at a critical point below this value flags an even-order tangency
 TANGENCY_HEIGHT_TOL = 1e-9
+
+#: Gauss-Legendre rules for arc areas: the area comes from the second, the
+#: gap to the first estimates its error
+_AREA_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (12, 20))
+#: largest harmonic phase omega*width/2 over one area panel; 12 nodes
+#: integrate cos at this phase to rounding
+_AREA_PANEL_PHASE = 4.0
 
 
 @dataclass(frozen=True)
@@ -240,32 +246,36 @@ def _scan_interval(comp: LiftComponent) -> tuple[float, float]:
     return lo, hi
 
 
-def _refine_root(f, fprime, lo, hi):
-    flo = f(lo)
+def _refine_roots(f, fprime, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Roots of f in the brackets [lo, hi], all brackets at once: bisection
+    down to ROOT_TOL, then a Newton polish from inside the basin.  A bracket
+    stops moving once it has converged, so it takes exactly the steps it
+    would take if refined on its own."""
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    # lo only moves to points where f has its sign, so that sign is fixed;
+    # a midpoint with f == 0 closes the bracket on itself
+    sign_at_lo = np.where(f(lo) < 0, -1.0, 1.0)
+    live = np.ones(len(lo), dtype=bool)
     for _ in range(200):
+        if not np.count_nonzero(live):
+            break
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < ROOT_TOL:
-            break
+        fm = f(mid) * sign_at_lo
+        lo = np.where(live & (fm >= 0), mid, lo)
+        hi = np.where(live & (fm <= 0), mid, hi)
+        live &= hi - lo >= ROOT_TOL
     root = 0.5 * (lo + hi)
-    # Newton polish; bisection already has us inside the basin
+    live = np.ones(len(root), dtype=bool)
     for _ in range(8):
+        if not np.count_nonzero(live):
+            break
         d = fprime(root)
-        if d == 0.0:
-            break
-        step = f(root) / d
-        if not math.isfinite(step):
-            break
-        root -= step
-        if abs(step) < ROOT_TOL:
-            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f(root) / d
+        live &= (d != 0.0) & np.isfinite(step)
+        root = np.where(live, root - step, root)
+        live &= ~(np.abs(step) < ROOT_TOL)
     return root
 
 
@@ -275,7 +285,9 @@ def zero_crossings(comp: LiftComponent) -> list[IntersectionPoint]:
 
     A pair of roots that falls inside one scan bracket shows no sign change
     at the bracket ends; it is found through the critical point between the
-    two roots, whose value has the opposite sign.
+    two roots, whose value has the opposite sign.  Each of the three
+    refinements (sign changes, critical points, dip pairs) is one batched
+    sweep over all its brackets.
 
     Raises TransversalityError when a root is tangential: either |Y'| at a
     located root is at most TRANSVERSALITY_TOL, or a critical point of the
@@ -296,40 +308,35 @@ def zero_crossings(comp: LiftComponent) -> list[IntersectionPoint]:
     n = max(8, int(math.ceil((hi - lo) / step)))
     ts = np.linspace(lo, hi, n + 1)
     vals = f(ts)
+    left, right = vals[:-1], vals[1:]
 
-    roots = []
-    for i in range(n):
-        a, b = float(vals[i]), float(vals[i + 1])
-        if a == 0.0:
-            roots.append(float(ts[i]))
-        elif (a < 0) != (b < 0):
-            roots.append(_refine_root(f, fp, float(ts[i]), float(ts[i + 1])))
-    if n >= 1 and float(vals[n]) == 0.0:
-        roots.append(float(ts[n]))
+    roots = list(ts[vals == 0.0])
+    change = np.flatnonzero((left != 0.0) & ((left < 0) != (right < 0)))
+    roots.extend(_refine_roots(f, fp, ts[change], ts[change + 1]))
 
     # critical points of the branch: touching the zero section, or
     # dipping across it and back within one bracket
     slopes = fp(ts)
-    for i in range(n):
-        a, b = float(slopes[i]), float(slopes[i + 1])
-        if (a < 0) != (b < 0):
-            lo, hi = float(ts[i]), float(ts[i + 1])
-            tc = _refine_root(fp, comp.slope_derivative, lo, hi)
-            fc = f(tc)
-            if abs(fc) <= TANGENCY_HEIGHT_TOL:
-                raise TransversalityError(
-                    f"component {comp.label}: tangential contact with the zero "
-                    f"section near t = {tc:.6g}"
-                )
-            flo, fhi = float(vals[i]), float(vals[i + 1])
-            if flo != 0.0 and fhi != 0.0 and (fc < 0) != (flo < 0) and (fc < 0) != (fhi < 0):
-                roots.append(_refine_root(f, fp, lo, tc))
-                roots.append(_refine_root(f, fp, tc, hi))
+    turn = np.flatnonzero((slopes[:-1] < 0) != (slopes[1:] < 0))
+    tcs = _refine_roots(fp, comp.slope_derivative, ts[turn], ts[turn + 1])
+    fcs = f(tcs)
+    touching = np.flatnonzero(np.abs(fcs) <= TANGENCY_HEIGHT_TOL)
+    if len(touching):
+        raise TransversalityError(
+            f"component {comp.label}: tangential contact with the zero "
+            f"section near t = {tcs[touching[0]]:.6g}"
+        )
+    flo, fhi = left[turn], right[turn]
+    dip = (flo != 0.0) & (fhi != 0.0) & ((fcs < 0) != (flo < 0)) & ((fcs < 0) != (fhi < 0))
+    tdip = tcs[dip]
+    lo_dip, hi_dip = ts[turn][dip], ts[turn + 1][dip]
+    roots.extend(_refine_roots(f, fp, np.concatenate([lo_dip, tdip]), np.concatenate([tdip, hi_dip])))
 
     # dedupe (adjacent brackets can converge to one root) and wrap circles
     roots.sort()
     uniq: list[float] = []
     for r in roots:
+        r = float(r)
         if comp.kind == CIRCLE:
             r = r % comp.parent.q
             # a root at the seam can refine to either side of t = q;
@@ -341,14 +348,13 @@ def zero_crossings(comp: LiftComponent) -> list[IntersectionPoint]:
     uniq.sort()
 
     points = []
-    for r in uniq:
-        d = fp(r)
+    for r, d in zip(uniq, fp(np.array(uniq))):
         if abs(d) <= TRANSVERSALITY_TOL:
             raise TransversalityError(
                 f"component {comp.label}: crossing at t = {r:.6g} has "
                 f"|Y'| = {abs(d):.3g} <= {TRANSVERSALITY_TOL:g}"
             )
-        points.append(IntersectionPoint(comp, float(r), +1 if d > 0 else -1))
+        points.append(IntersectionPoint(comp, r, +1 if d > 0 else -1))
 
     # on a circle the last crossing is also followed by the first
     following = points[1:] + points[:1] if comp.kind == CIRCLE else points[1:]
@@ -372,11 +378,22 @@ def signed_crossing_count(graph: LagrangianGraph) -> int:
 
 
 def _signed_area(comp: LiftComponent, t_from: float, t_to: float) -> float:
-    """-integral of the branch height from t_from to t_to (signed)."""
-    val, err = quad(comp.height, t_from, t_to, epsabs=1e-12, epsrel=1e-12, limit=200)
-    if abs(err) > 1e-9:
+    """-integral of the branch height from t_from to t_to (signed).
+
+    Composite Gauss-Legendre: the height is linear plus harmonics of
+    frequency at most omega, so panels of phase omega*width/2 <= _AREA_PANEL_PHASE
+    converge spectrally; the gap between the two rules estimates the error."""
+    g = comp.parent
+    omega = TWO_PI * max((h.m for h in g.wiggle), default=0) / g.q
+    panels = max(1, math.ceil(omega * abs(t_to - t_from) / (2.0 * _AREA_PANEL_PHASE)))
+    edges = np.linspace(t_from, t_to, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    low, high = (float(np.sum(half * w * comp.height(mid + half * x))) for x, w in _AREA_RULES)
+    err = abs(high - low)
+    if err > 1e-9:
         warnings.warn(f"area quadrature on {comp.label} reported error {err:.2g}")
-    return -val
+    return -high
 
 
 def _make_arc(plus: IntersectionPoint, minus: IntersectionPoint, t_plus: float, t_minus: float) -> SimpleArc:

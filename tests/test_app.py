@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,12 @@ class TestRunVerify:
         parallel = run_verify(scene, workers=4).to_dict()
         assert sequential == parallel
         assert run_verify(scene, workers=1).to_dict() == sequential
+
+    @pytest.mark.parametrize("p,q", [(4, 1), (7, 2)])
+    def test_steep_straight_line_passes(self, p, q):
+        report = run_verify(scene_from_dict(scene_dict(object_dict(id="steep", p=p, q=q))))
+        assert report.passed, report.objects[0]["errors"]
+        assert report.objects[0]["analytic_dims"] == [p, 0]
 
     def test_pipeline_error_marks_object_failed(self):
         # window far too small for the Gaussian weight to die off
@@ -419,3 +429,13 @@ def test_each_component_scanned_and_each_arc_integrated_once(tmp_path, monkeypat
         sequence()
         assert len(scans) > 3 and set(scans.values()) == {1}
         assert len(quadratures) >= 6 and set(quadratures.values()) == {1}
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, torusmirror.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "False"

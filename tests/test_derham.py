@@ -6,6 +6,9 @@ import warnings
 import numpy as np
 import pytest
 from conftest import make_graph, random_unitary
+from scipy.integrate import quad
+
+from torusmirror import derham
 
 from torusmirror.derham import (
     CASE1,
@@ -19,7 +22,7 @@ from torusmirror.derham import (
     classify_components,
     discretized_dims,
 )
-from torusmirror.errors import UnsupportedError, ValidationError, WindowError
+from torusmirror.errors import NumericsError, UnsupportedError, ValidationError, WindowError
 from torusmirror.floer import build_complex, cohomology_dims
 from torusmirror.localsys import LocalSystem, TwistedTransport, trivial_system
 
@@ -30,6 +33,45 @@ def brane(p, q=1, c=0.0, wiggle=(), n=1, mono=None):
     graph = make_graph(p=p, q=q, c=c, wiggle=wiggle)
     system = LocalSystem(mono) if mono is not None else trivial_system(n)
     return TwistedTransport(graph, system)
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
+
+
+def scalar_case3_solve(a, b, g, C, xs):
+    """The interval solver as one Python step per grid cell, with a quad
+    tail for a < 0: the reference the array sweep must reproduce."""
+    vertex = -b / a
+
+    def phi(t):
+        return 0.5 * a * t * t + b * t
+
+    def step(x_from, x_to, j_from):
+        mid, half = 0.5 * (x_from + x_to), 0.5 * (x_to - x_from)
+        acc = j_from * math.exp(phi(x_from) - phi(x_to))
+        for w, xi in zip(_GAUSS_W, _GAUSS_X):
+            t = mid + half * xi
+            acc += w * half * g(t) * math.exp(phi(t) - phi(x_to))
+        return acc
+
+    j = np.zeros(len(xs), dtype=complex)
+    if a > 0:
+        ia = int(np.argmin(np.abs(xs - vertex)))
+        for i in range(ia, len(xs) - 1):
+            j[i + 1] = step(xs[i], xs[i + 1], j[i])
+        for i in range(ia, 0, -1):
+            j[i - 1] = step(xs[i], xs[i - 1], j[i])
+    else:
+        def tail(t):
+            return g(t) * math.exp(phi(t) - phi(xs[0]))
+
+        re, _ = quad(lambda t: tail(t).real, -np.inf, xs[0], epsabs=1e-12, limit=300)
+        im, _ = quad(lambda t: tail(t).imag, -np.inf, xs[0], epsabs=1e-12, limit=300)
+        j[0] = complex(re, im)
+        for i in range(len(xs) - 1):
+            j[i + 1] = step(xs[i], xs[i + 1], j[i])
+    u = xs - vertex
+    return j + C * np.exp(np.minimum(-0.5 * a * u * u, 709.0))
 
 
 class TestClassification:
@@ -103,7 +145,7 @@ class TestIntervalSolver:
             alpha, beta, center = rng.standard_normal(3)
 
             def g(t):
-                return (alpha + beta * (t - center)) * math.exp(-1.5 * (t - center) ** 2)
+                return (alpha + beta * (t - center)) * np.exp(-1.5 * (t - center) ** 2)
 
             f, decays = case3_solve(a, b, g, rng.uniform(0.5, 1.5), xs)
             assert decays
@@ -116,7 +158,7 @@ class TestIntervalSolver:
         xs = np.linspace(-6.0, 0.0, 601)
 
         def g(t):
-            return math.exp(-2.0 * (t + 2.0) ** 2)
+            return np.exp(-2.0 * (t + 2.0) ** 2)
 
         forced, decays = case3_solve(-TWO_PI, 0.0, g, 0.0, xs)
         assert decays
@@ -129,13 +171,39 @@ class TestIntervalSolver:
         h = xs[1] - xs[0]
 
         def g(t):
-            return (1.0 + 0.3 * t) * math.exp(-2.0 * (t + 3.0) ** 2)
+            return (1.0 + 0.3 * t) * np.exp(-2.0 * (t + 3.0) ** 2)
 
         f, _ = case3_solve(-TWO_PI, 0.0, g, 0.0, xs)
         df = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
         mid = xs[2:-2]
         residual = df + (-TWO_PI * mid) * f[2:-2] - np.array([g(t) for t in mid])
         assert np.max(np.abs(residual)) <= 1e-8 * max(1.0, np.max(np.abs(f)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scalar_step_loop(self, seed):
+        # a > 0 up to p/q = 30 takes several sweep blocks; a < 0 stops at
+        # p/q = 11, past which the solution itself leaves the doubles on
+        # the spot check's window
+        rng = np.random.default_rng(seed)
+        for sign in (1, -1):
+            a = sign * rng.uniform(0.3, TWO_PI * (30 if sign > 0 else 11))
+            b = rng.uniform(-10.0, 10.0)
+            C = rng.standard_normal() if seed % 2 else 0.0
+            vertex = -b / a
+            alpha, beta = rng.standard_normal(2)
+            center = vertex + rng.uniform(-1.5, 1.5)
+
+            def g(t):
+                return (alpha + beta * (t - center)) * np.exp(-2.0 * (t - center) ** 2)
+
+            half_width = 4.5 * max(1.0, math.sqrt(TWO_PI / abs(a)))
+            # the second window starts near the vertex, where for a < 0 the
+            # tail left of xs[0] carries most of the weight
+            for start in (vertex - half_width, vertex + rng.uniform(-1.0, 1.0)):
+                xs = np.linspace(start, vertex + half_width, 1281)
+                want = scalar_case3_solve(a, b, g, C, xs)
+                got, _ = case3_solve(a, b, g, C, xs)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_rejects_flat_asymptotics(self):
         with pytest.raises(UnsupportedError):
@@ -176,6 +244,20 @@ class TestAnalyticDims:
     def test_rank_two_lines(self, rng):
         tt = brane(2, q=3, c=0.25, mono=random_unitary(2, rng))
         assert analytic_dims(tt) == (4, 0)
+
+    @pytest.mark.parametrize("p", [4, 6, 15, 30])
+    def test_steep_straight_lines(self, p):
+        # the spot-check grid refines with the slope, so its own stencil
+        # error stays below the tolerance
+        assert analytic_dims(brane(p, c=0.0)) == (p, 0)
+
+    def test_non_finite_spot_check_fails(self, monkeypatch):
+        def broken(a, b, g, C, xs):
+            return np.full(len(xs), np.nan, dtype=complex), True
+
+        monkeypatch.setattr(derham, "case3_solve", broken)
+        with pytest.raises(NumericsError, match="spot check failed"):
+            analytic_dims(brane(1, c=0.0))
 
 
 class TestDiscretizedDims:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from torusmirror import geometry
 from torusmirror.errors import NumericsError, TransversalityError, ValidationError
 from torusmirror.geometry import (
     CIRCLE,
     LINE,
+    ROOT_TOL,
     LagrangianGraph,
     LiftComponent,
+    _refine_roots,
+    _scan_interval,
+    _signed_area,
     lift_components,
     signed_crossing_count,
     simple_arcs,
@@ -281,3 +287,108 @@ def test_circle_crossings_match_trig_polynomial_roots(q, harmonics, log_eps, tou
     assert len(got) == len(want)
     for a, b in zip(sorted(got), want):
         assert min(abs(a - b), q - abs(a - b)) <= 1e-8
+
+
+HARMONIC = st.tuples(st.integers(1, 4), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    q=st.integers(1, 3),
+    c=st.floats(-1.0, 1.0),
+    harmonics=st.lists(HARMONIC, min_size=1, max_size=4),
+)
+def test_line_crossings_match_dense_sampling(p, q, c, harmonics):
+    assume(math.gcd(p, q) == 1)
+    g = make_graph(p=p, q=q, c=c, wiggle=harmonics)
+    for comp in lift_components(g):
+        lo, hi = _scan_interval(comp)
+        ts = np.linspace(lo, hi, 200_001)
+        ys = comp.height(ts)
+        # a sampled extremum this far from zero rules out two roots hiding
+        # in one sample step: that needs a dip of at most sup|Y''| h^2 / 8
+        dy = np.diff(ys)
+        extrema = np.flatnonzero((dy[:-1] < 0) != (dy[1:] < 0)) + 1
+        assume(np.all(np.abs(ys[extrema]) > 1e-5))
+        try:
+            got = zero_crossings(comp)
+        except TransversalityError:
+            return  # tangential or nearly so; only transversal scenes count
+        change = np.flatnonzero((ys[:-1] < 0) != (ys[1:] < 0))
+        want = [brentq(comp.height, ts[i], ts[i + 1], xtol=1e-14) for i in change]
+        assert len(got) == len(want)
+        assert [pt.sign for pt in got] == [1 if ys[i] < 0 else -1 for i in change]
+        for pt, t0 in zip(got, want):
+            assert abs(pt.t0 - t0) <= 1e-9
+
+
+def scalar_refine_root(f, fprime, lo, hi):
+    """One bracket at a time: the reference the batched sweep must match."""
+    flo = f(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            lo = hi = mid
+            break
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+        if hi - lo < ROOT_TOL:
+            break
+    root = 0.5 * (lo + hi)
+    for _ in range(8):
+        d = fprime(root)
+        if d == 0.0:
+            break
+        step = f(root) / d
+        if not math.isfinite(step):
+            break
+        root -= step
+        if abs(step) < ROOT_TOL:
+            break
+    return root
+
+
+def test_batched_refinement_matches_scalar_reference():
+    g = make_graph(p=1, q=1, c=0.3, wiggle=[(1, 0.2, 0.5), (3, 0.1, -0.15)])
+    (comp,) = lift_components(g)
+    ts = np.linspace(*_scan_interval(comp), 4001)
+    for f, fprime in ((comp.height, comp.slope), (comp.slope, comp.slope_derivative)):
+        vals = f(ts)
+        change = np.flatnonzero((vals[:-1] < 0) != (vals[1:] < 0))
+        assert len(change) >= 2
+        # unequal widths, so brackets converge after different numbers of steps
+        lo = ts[change]
+        hi = ts[change + 1] + (ts[1] - ts[0]) * 0.3 * (np.arange(len(change)) % 3)
+        assert np.all((f(lo) < 0) != (f(hi) < 0))
+        got = _refine_roots(f, fprime, lo, hi)
+        assert got.tolist() == [scalar_refine_root(f, fprime, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.integers(1, 3),
+    c=st.floats(-1.0, 1.0),
+    harmonics=st.lists(st.tuples(st.integers(1, 9), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)), max_size=4),
+    t_from=st.floats(-3.0, 3.0),
+    length=st.floats(-6.0, 6.0),
+)
+def test_area_rule_matches_exact_primitive(q, c, harmonics, t_from, length):
+    comp = lift_components(make_graph(p=1, q=q, c=c, wiggle=harmonics))[0]
+    t_to = t_from + length
+    exact = -(comp.height_primitive(t_to) - comp.height_primitive(t_from))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _signed_area(comp, t_from, t_to)
+    assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+def test_area_rule_warns_when_its_orders_disagree(monkeypatch):
+    # one panel over many periods: the two rules no longer agree
+    monkeypatch.setattr(geometry, "_AREA_PANEL_PHASE", 1e9)
+    comp = lift_components(make_graph(p=1, q=1, c=0.0, wiggle=[(8, 0.3, 0.2)]))[0]
+    with pytest.warns(UserWarning, match="area quadrature"):
+        _signed_area(comp, -1.5, 1.5)
