@@ -12,8 +12,10 @@ deterministically by object id.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,6 @@ DBAR_STENCIL_RATE = 12.0
 D_ROUTE_TOL = 1e-9
 
 _OBJECT_KEYS = {"id", "q", "p", "c", "wiggle", "local_system"}
-_PARAM_KEYS = {"K", "grid_h", "window", "rank_tol", "dbar_tol"}
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,21 @@ class SceneParams:
     dbar_tol: float = 1e-6
 
     def __post_init__(self):
-        if not isinstance(self.K, int) or self.K < 1:
+        if isinstance(self.K, bool) or not isinstance(self.K, int) or self.K < 1:
             raise ValidationError(f"params: K must be a positive integer, got {self.K!r}")
+        for name in ("grid_h", "window", "rank_tol", "dbar_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValidationError(f"params: {name} must be a finite number, got {value!r}")
         if not 0 < self.grid_h <= 1e-2:
             raise ValidationError(f"params: grid_h must lie in (0, 1e-2], got {self.grid_h!r}")
         if self.window <= 0 or self.rank_tol <= 0 or self.dbar_tol <= 0:
             raise ValidationError("params: window and tolerances must be positive")
+        if self.rank_tol >= 1:  # a cutoff relative to the top singular value
+            raise ValidationError(f"params: rank_tol must lie in (0, 1), got {self.rank_tol!r}")
+
+
+_PARAM_KEYS = {f.name for f in fields(SceneParams)}
 
 
 @dataclass(frozen=True)
@@ -158,17 +168,7 @@ def scene_to_dict(scene: Scene) -> dict:
                 },
             }
         )
-    p = scene.params
-    return {
-        "objects": objects,
-        "params": {
-            "K": p.K,
-            "grid_h": p.grid_h,
-            "window": p.window,
-            "rank_tol": p.rank_tol,
-            "dbar_tol": p.dbar_tol,
-        },
-    }
+    return {"objects": objects, "params": asdict(scene.params)}
 
 
 def save_scene(scene: Scene, path) -> None:

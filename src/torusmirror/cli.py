@@ -11,7 +11,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .app import Scene, emit_csv, load_scene, render_svg, run_verify, sample_section, save_scene
@@ -62,20 +62,7 @@ def _cmd_inspect(args) -> int:
                 "negative_crossings": len(geo.negatives),
             }
         )
-    params = scene.params
-    _emit(
-        {
-            "objects": objects,
-            "params": {
-                "K": params.K,
-                "grid_h": params.grid_h,
-                "window": params.window,
-                "rank_tol": params.rank_tol,
-                "dbar_tol": params.dbar_tol,
-            },
-        },
-        args.out,
-    )
+    _emit({"objects": objects, "params": asdict(scene.params)}, args.out)
     return 0
 
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded
 
 from .errors import NumericsError, UnsupportedError, ValidationError, WindowError
 from .floer import RANK_TOL, build_complex, cohomology_dims, matrix_rank
@@ -318,11 +317,13 @@ def _factors(band: np.ndarray, sigma: float) -> bool:
     """Whether band - sigma^2 I has a Cholesky factor, i.e. every singular
     value of the full-rank side exceeds sigma.  The factor is backward
     stable, so rounding stays at O(eps * |G|), far below the cutoff^2."""
+    from scipy.linalg import cholesky_banded  # loaded on first use, off the load path
+
     shifted = band.copy()
     shifted[0] -= sigma * sigma
     try:
         cholesky_banded(shifted, lower=True, check_finite=False)
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         return False
     return True
 

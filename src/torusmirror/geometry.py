@@ -49,6 +49,8 @@ class Harmonic:
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise ValidationError(f"harmonic order must be a positive integer, got {self.m!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValidationError(f"harmonic m={self.m}: coefficients must be finite, got a={self.a!r}, b={self.b!r}")
 
 
 def _as_harmonics(wiggle) -> tuple[Harmonic, ...]:
@@ -84,6 +86,8 @@ class LagrangianGraph:
             raise ValidationError(f"object {self.id!r}: cover degree q must be a positive integer")
         if not isinstance(self.p, int):
             raise ValidationError(f"object {self.id!r}: winding p must be an integer")
+        if not math.isfinite(self.c):
+            raise ValidationError(f"object {self.id!r}: offset c must be finite, got {self.c!r}")
         if self.p != 0 and math.gcd(self.p, self.q) != 1:
             raise ValidationError(
                 f"object {self.id!r}: gcd(p, q) = {math.gcd(self.p, self.q)} != 1 "
@@ -242,8 +246,7 @@ def _scan_interval(comp: LiftComponent) -> tuple[float, float]:
     a = g.q / g.p
     t1 = a * (-bound - g.c - comp.shift)
     t2 = a * (bound - g.c - comp.shift)
-    lo, hi = min(t1, t2) - g.q, max(t1, t2) + g.q
-    return lo, hi
+    return min(t1, t2) - g.q, max(t1, t2) + g.q
 
 
 def _refine_roots(f, fprime, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -279,102 +282,98 @@ def _refine_roots(f, fprime, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return root
 
 
-def zero_crossings(comp: LiftComponent) -> list[IntersectionPoint]:
-    """All roots of the branch function on the component, sorted by t and
-    classified by the sign of Y' there.
+def _crossing_scan(graph: LagrangianGraph, comps) -> list[list[IntersectionPoint]]:
+    """The crossings of the given lift components of graph, per component
+    sorted by t and classified by the sign of Y' there.
 
-    A pair of roots that falls inside one scan bracket shows no sign change
-    at the bracket ends; it is found through the critical point between the
-    two roots, whose value has the opposite sign.  Each of the three
-    refinements (sign changes, critical points, dip pairs) is one batched
-    sweep over all its brackets.
+    The components differ only by their shift, so they share Y' and its
+    critical points: one sweep refines the critical points that a slope scan
+    over the union of the scan intervals finds.  Between consecutive knots
+    (the range ends and the critical points, cyclic on circles) Y is
+    monotone, so a piece holds one root of Y + shift if Y + shift changes
+    sign across it and none otherwise.  A second sweep refines the roots of
+    all shifts at once.
 
     Raises TransversalityError when a root is tangential: either |Y'| at a
-    located root is at most TRANSVERSALITY_TOL, or a critical point of the
+    located root is at most TRANSVERSALITY_TOL, or a critical point of a
     branch sits on the zero section (an even-order touch that bracketing
     alone would miss).
     """
-    f = comp.height
-    fp = comp.slope
-    if comp.kind == CIRCLE:
-        # the harmonics drift off exact periodicity in floats (sin(2*pi*m*q)
-        # is not 0), which can hide or double a root sitting on the seam;
-        # evaluate periodically so f(q) == f(0) exactly
-        period = comp.parent.q
-        f = lambda t: comp.height(t % period)
-        fp = lambda t: comp.slope(t % period)
-    lo, hi = _scan_interval(comp)
-    step = _scan_step(comp.parent)
-    n = max(8, int(math.ceil((hi - lo) / step)))
+    shifts = np.array([comp.shift for comp in comps], dtype=float)
+    q, circle = graph.q, graph.p == 0
+    # the harmonics drift off exact periodicity in floats (sin(2*pi*m*q) is
+    # not 0), which can hide or double a root on a circle's seam; evaluate
+    # periodically there so f(q) == f(0) exactly
+    f = (lambda t: graph.height(t % q)) if circle else graph.height
+    fp = (lambda t: graph.slope(t % q)) if circle else graph.slope
+    lo = min(_scan_interval(comp)[0] for comp in comps)
+    hi = max(_scan_interval(comp)[1] for comp in comps)
+    n = max(8, int(math.ceil((hi - lo) / _scan_step(graph))))
     ts = np.linspace(lo, hi, n + 1)
-    vals = f(ts)
-    left, right = vals[:-1], vals[1:]
+    falling = fp(ts) < 0
+    turn = np.flatnonzero(falling[:-1] != falling[1:])
+    tcs = np.sort(_refine_roots(fp, graph.slope_derivative, ts[turn], ts[turn + 1]))
 
-    roots = list(ts[vals == 0.0])
-    change = np.flatnonzero((left != 0.0) & ((left < 0) != (right < 0)))
-    roots.extend(_refine_roots(f, fp, ts[change], ts[change + 1]))
-
-    # critical points of the branch: touching the zero section, or
-    # dipping across it and back within one bracket
-    slopes = fp(ts)
-    turn = np.flatnonzero((slopes[:-1] < 0) != (slopes[1:] < 0))
-    tcs = _refine_roots(fp, comp.slope_derivative, ts[turn], ts[turn + 1])
-    fcs = f(tcs)
-    touching = np.flatnonzero(np.abs(fcs) <= TANGENCY_HEIGHT_TOL)
+    if circle:
+        if not len(tcs):
+            tcs = np.zeros(1)  # a flat circle: every point is critical
+        knots = np.append(tcs, tcs[0] + q)
+    else:
+        knots = np.concatenate([[lo], tcs, [hi]])
+    vals = f(knots)[None, :] + shifts[:, None]
+    critical = vals[:, :-1] if circle else vals[:, 1:-1]
+    touching = np.argwhere(np.abs(critical) <= TANGENCY_HEIGHT_TOL)
     if len(touching):
+        k, i = touching[0]
         raise TransversalityError(
-            f"component {comp.label}: tangential contact with the zero "
-            f"section near t = {tcs[touching[0]]:.6g}"
+            f"component {comps[k].label}: tangential contact with the zero "
+            f"section near t = {tcs[i]:.6g}"
         )
-    flo, fhi = left[turn], right[turn]
-    dip = (flo != 0.0) & (fhi != 0.0) & ((fcs < 0) != (flo < 0)) & ((fcs < 0) != (fhi < 0))
-    tdip = tcs[dip]
-    lo_dip, hi_dip = ts[turn][dip], ts[turn + 1][dip]
-    roots.extend(_refine_roots(f, fp, np.concatenate([lo_dip, tdip]), np.concatenate([tdip, hi_dip])))
 
-    # dedupe (adjacent brackets can converge to one root) and wrap circles
-    roots.sort()
-    uniq: list[float] = []
-    for r in roots:
-        r = float(r)
-        if comp.kind == CIRCLE:
-            r = r % comp.parent.q
-            # a root at the seam can refine to either side of t = q;
-            # snap to 0 so both copies dedupe to one representative
-            if comp.parent.q - r <= 1e-8:
-                r = 0.0
-        if all(abs(r - u) > 1e-8 for u in uniq):
-            uniq.append(r)
-    uniq.sort()
+    below = vals < 0
+    owner, piece = np.nonzero(below[:, :-1] != below[:, 1:])
+    offset = shifts[owner]
+    roots = _refine_roots(lambda t: f(t) + offset, fp, knots[piece], knots[piece + 1])
+    if circle:
+        roots %= q
+        # a root at the seam can refine to either side of t = q; snap to 0
+        roots[q - roots <= 1e-8] = 0.0
+    order = np.lexsort((roots, owner))
+    owner, roots = owner[order], roots[order]
+    slopes = fp(roots)
+    weak = np.flatnonzero(np.abs(slopes) <= TRANSVERSALITY_TOL)
+    if len(weak):
+        k = weak[0]
+        raise TransversalityError(
+            f"component {comps[owner[k]].label}: crossing at t = {roots[k]:.6g} has "
+            f"|Y'| = {abs(slopes[k]):.3g} <= {TRANSVERSALITY_TOL:g}"
+        )
 
-    points = []
-    for r, d in zip(uniq, fp(np.array(uniq))):
-        if abs(d) <= TRANSVERSALITY_TOL:
-            raise TransversalityError(
-                f"component {comp.label}: crossing at t = {r:.6g} has "
-                f"|Y'| = {abs(d):.3g} <= {TRANSVERSALITY_TOL:g}"
-            )
-        points.append(IntersectionPoint(comp, r, +1 if d > 0 else -1))
+    crossings: list[list[IntersectionPoint]] = [[] for _ in comps]
+    for k, r, d in zip(owner.tolist(), roots.tolist(), slopes.tolist()):
+        crossings[k].append(IntersectionPoint(comps[k], r, +1 if d > 0 else -1))
+    for points in crossings:
+        # on a circle the last crossing is also followed by the first
+        following = points[1:] + points[:1] if circle else points[1:]
+        for prev, cur in zip(points, following):
+            if prev.sign == cur.sign:
+                raise NumericsError(
+                    f"component {prev.component.label}: consecutive crossings at "
+                    f"t = {prev.t0:.6g}, {cur.t0:.6g} have equal sign; root scan "
+                    "missed a crossing (reduce the scan step)"
+                )
+    return crossings
 
-    # on a circle the last crossing is also followed by the first
-    following = points[1:] + points[:1] if comp.kind == CIRCLE else points[1:]
-    for prev, cur in zip(points, following):
-        if prev.sign == cur.sign:
-            raise NumericsError(
-                f"component {comp.label}: consecutive crossings at "
-                f"t = {prev.t0:.6g}, {cur.t0:.6g} have equal sign; root scan "
-                "missed a crossing (reduce the scan step)"
-            )
-    return points
+
+def zero_crossings(comp: LiftComponent) -> list[IntersectionPoint]:
+    """All roots of the branch function on one component, sorted by t; the
+    one-component case of the object-level scan."""
+    return _crossing_scan(comp.parent, [comp])[0]
 
 
 def signed_crossing_count(graph: LagrangianGraph) -> int:
     """Sum over components of (#positive - #negative) crossings; equals p."""
-    total = 0
-    for comp in lift_components(graph):
-        for pt in zero_crossings(comp):
-            total += pt.sign
-    return total
+    return sum(pt.sign for points in _crossing_scan(graph, lift_components(graph)) for pt in points)
 
 
 def _signed_area(comp: LiftComponent, t_from: float, t_to: float) -> float:
@@ -452,9 +451,9 @@ class ObjectGeometry:
 
 
 def object_geometry(graph: LagrangianGraph) -> ObjectGeometry:
-    """Scan every lift component in the default window once and integrate
-    every simple arc once."""
+    """Scan all lift components in the default window in one object-level
+    scan and integrate every simple arc once."""
     components = tuple(lift_components(graph))
-    crossings = tuple(tuple(zero_crossings(comp)) for comp in components)
+    crossings = tuple(tuple(points) for points in _crossing_scan(graph, components))
     arcs = tuple(arc for points in crossings for arc in simple_arcs(points))
     return ObjectGeometry(components, crossings, arcs)

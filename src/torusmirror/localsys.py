@@ -32,6 +32,8 @@ class LocalSystem:
         t = np.array(self.monodromy, dtype=complex)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValidationError(f"monodromy must be square, got shape {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValidationError("monodromy entries must be finite")
         sign, _ = np.linalg.slogdet(t)
         if sign == 0:
             raise ValidationError("monodromy matrix is singular")

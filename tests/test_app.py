@@ -29,6 +29,7 @@ from torusmirror.app import (
 from torusmirror.cli import main
 from torusmirror.errors import TransversalityError, ValidationError
 from torusmirror.fourier import MirrorPoint, ThetaSection, dbar_residual, standard_section
+from torusmirror.geometry import LagrangianGraph, object_geometry
 
 
 def object_dict(id="canonical", q=1, p=1, c=0.0, wiggle=(), monodromy=None, rank=None):
@@ -266,6 +267,48 @@ class TestCli:
         assert out["pass"] is False
         assert out["objects"][0]["errors"]
 
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_flat_circle_on_zero_section_rejected(self, tmp_path, capsys, c):
+        # no critical points at all, and the branch with c + shift = 0 lies on the zero section
+        flat = object_dict(id="flat", p=0, c=c)
+        with pytest.raises(TransversalityError):
+            object_geometry(LagrangianGraph(id="flat", p=0, c=c))
+        assert main(["verify", "--scene", write_scene(tmp_path, scene_dict(flat))]) == 2
+        assert "flat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("c", math.nan),
+            ("a", math.nan),
+            ("b", math.inf),
+            ("monodromy", math.nan),
+            ("window", math.nan),
+            ("window", math.inf),
+            ("grid_h", math.nan),
+            ("dbar_tol", math.inf),
+            ("rank_tol", math.nan),
+            ("rank_tol", 1.0),
+            ("rank_tol", 2),
+            ("K", True),
+        ],
+    )
+    def test_nonfinite_or_out_of_range_scene_numbers_exit_2(self, tmp_path, capsys, field, value):
+        obj = object_dict(id="odd", c=0.5, wiggle=[(1, 0.0, 0.5)])
+        params = {}
+        if field == "c":
+            obj["c"] = value
+        elif field in ("a", "b"):
+            obj["wiggle"][0][field] = value
+        elif field == "monodromy":
+            obj["local_system"]["monodromy"][0][0][0] = value
+        else:
+            params[field] = value
+        path = write_scene(tmp_path, scene_dict(obj, params=params))  # json writes NaN and Infinity literals
+        assert main(["verify", "--scene", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_inspect_and_floer(self, tmp_path, capsys):
         path = write_scene(
             tmp_path, scene_dict(object_dict(id="wiggle", c=0.5, wiggle=[(1, 0.0, 0.5)]))
@@ -383,23 +426,30 @@ def test_each_component_scanned_and_each_arc_integrated_once(tmp_path, monkeypat
     import torusmirror.geometry as geometry
 
     scans: dict[str, int] = {}
+    sweeps: list[int] = []  # brackets per _refine_roots sweep
     quadratures: dict[tuple, int] = {}
-    real_scan, real_area = geometry.zero_crossings, geometry._signed_area
+    real_scan, real_sweep, real_area = geometry._crossing_scan, geometry._refine_roots, geometry._signed_area
 
-    def counted_scan(comp):
-        scans[comp.label] = scans.get(comp.label, 0) + 1
-        return real_scan(comp)
+    def counted_scan(graph, comps):
+        scans[graph.id] = scans.get(graph.id, 0) + 1
+        return real_scan(graph, comps)
+
+    def counted_sweep(f, fprime, lo, hi):
+        sweeps.append(len(lo))
+        return real_sweep(f, fprime, lo, hi)
 
     def counted_area(comp, t_from, t_to):
         key = (comp.label, t_from, t_to)
         quadratures[key] = quadratures.get(key, 0) + 1
         return real_area(comp, t_from, t_to)
 
-    # every module that binds the scan under its own name gets the counter
+    # every module that binds the object-level scan under its own name gets
+    # the counter; the scan covers all of an object's components
     for name in ("app", "cli", "derham", "floer", "fourier", "geometry", "localsys"):
         module = getattr(torusmirror, name)
-        if hasattr(module, "zero_crossings"):
-            monkeypatch.setattr(module, "zero_crossings", counted_scan)
+        if hasattr(module, "_crossing_scan"):
+            monkeypatch.setattr(module, "_crossing_scan", counted_scan)
+    monkeypatch.setattr(geometry, "_refine_roots", counted_sweep)
     monkeypatch.setattr(geometry, "_signed_area", counted_area)
 
     path = write_scene(
@@ -425,17 +475,25 @@ def test_each_component_scanned_and_each_arc_integrated_once(tmp_path, monkeypat
 
     for sequence in (full_verify, routes):
         scans.clear()
+        sweeps.clear()
         quadratures.clear()
         sequence()
-        assert len(scans) > 3 and set(scans.values()) == {1}
+        # one scan per object, each with one critical-point and one root sweep
+        assert sorted(scans) == ["circle", "down", "line"] and set(scans.values()) == {1}
+        assert len(sweeps) == 2 * len(scans)
         assert len(quadratures) >= 6 and set(quadratures.values()) == {1}
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    # a cold load path needs numpy only: scipy.linalg waits for the discretized count
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, torusmirror.cli; print('scipy.integrate' in sys.modules)"
+    path = write_scene(tmp_path, scene_dict(object_dict(id="wiggle", c=0.5, wiggle=[(1, 0.0, 0.5)])))
+    code = (
+        "import sys, torusmirror.cli; from torusmirror.app import load_scene; "
+        f"load_scene({path!r}); print(sorted({{'scipy.integrate', 'scipy.linalg'}} & set(sys.modules)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

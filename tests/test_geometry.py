@@ -15,11 +15,11 @@ from torusmirror.geometry import (
     LINE,
     ROOT_TOL,
     LagrangianGraph,
-    LiftComponent,
     _refine_roots,
     _scan_interval,
     _signed_area,
     lift_components,
+    object_geometry,
     signed_crossing_count,
     simple_arcs,
     zero_crossings,
@@ -95,6 +95,14 @@ def test_no_crossings_on_offset_circle():
     g = make_graph(p=0, q=1, c=0.3)
     for comp in lift_components(g, window=2.0):
         assert zero_crossings(comp) == []
+
+
+def test_circle_root_just_below_the_seam_reads_zero():
+    # Y = c + sin(2 pi t) / 2 has its upward root at t = 1 - 1e-10, within 1e-8 of q
+    g = make_graph(p=0, q=1, c=0.5 * math.sin(2 * math.pi * 1e-10), wiggle=[(1, 0.0, 0.5)])
+    geo = object_geometry(g)
+    points = geo.crossings[[comp.shift for comp in geo.components].index(0)]
+    assert [(pt.t0, pt.sign) for pt in points] == [(0.0, 1), (pytest.approx(0.5 + 1e-10, abs=1e-12), -1)]
 
 
 def test_straight_line_single_crossing():
@@ -184,6 +192,15 @@ def test_near_tangential_scene_rejected():
         zero_crossings(comp)
 
 
+@pytest.mark.parametrize("shift", [0, -1, 1])
+def test_circle_touching_zero_section_rejected(shift):
+    # the branch Y + shift = (1 + cos(2 pi t)) / 4 touches zero at t = 1/2 and
+    # stays above it: no sign change shows the contact, only its critical value
+    g = make_graph(p=0, q=1, c=0.25 - shift, wiggle=[(1, 0.25, 0.0)])
+    with pytest.raises(TransversalityError, match=f"r{shift}: tangential contact"):
+        object_geometry(g)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     p=st.sampled_from([-3, -2, -1, 1, 2, 3]),
@@ -262,11 +279,13 @@ AMPLITUDES = st.one_of(st.just(0.0), st.floats(1e-3, 0.5), st.floats(-0.5, -1e-3
     ),
     log_eps=st.floats(-7.0, -3.0),
     touch_maximum=st.booleans(),
+    r=st.sampled_from([-2, -1, 1, 2]),
 )
-def test_circle_crossings_match_trig_polynomial_roots(q, harmonics, log_eps, touch_maximum):
-    # Offset the curve so that its lowest (or highest) point crosses the zero
-    # section by eps: two transversal roots close together, which one scan
-    # bracket can hold without a sign change at its ends.
+def test_circle_crossings_match_trig_polynomial_roots(q, harmonics, log_eps, touch_maximum, r):
+    # Offset the curve so that the lowest (or highest) point of its branch
+    # Y + r crosses the zero section by eps: two transversal roots close
+    # together, which one scan bracket can hold without a sign change at its
+    # ends.  Every component is read from the one object-level scan.
     flat = make_graph(p=0, q=q, c=0.0, wiggle=harmonics)
     sign = -1.0 if touch_maximum else 1.0
     ts = np.linspace(0.0, q, 1 << 14, endpoint=False)
@@ -277,16 +296,24 @@ def test_circle_crossings_match_trig_polynomial_roots(q, harmonics, log_eps, tou
             break
         t -= flat.slope(t) / curvature
     c = -flat.height(t) - sign * 10.0**log_eps
-    g = make_graph(p=0, q=q, c=c, wiggle=harmonics)
-    want, gap = _trig_polynomial_roots(g)
-    assume(gap > 1e-4)  # no root of the oracle sits near the circle undecided
+    g = make_graph(p=0, q=q, c=c - r, wiggle=harmonics)
+    oracle = {
+        comp.shift: _trig_polynomial_roots(make_graph(p=0, q=q, c=g.c + comp.shift, wiggle=harmonics))
+        for comp in lift_components(g)
+    }
+    assume(all(gap > 1e-4 for _, gap in oracle.values()))  # no oracle root near the circle undecided
+    assume(sum(len(want) > 0 for want, _ in oracle.values()) >= 2)  # shifts meet in one sweep
     try:
-        got = [pt.t0 for pt in zero_crossings(LiftComponent(g, CIRCLE, 0))]
+        geo = object_geometry(g)
     except TransversalityError:
         return  # tangential or nearly so; only transversal scenes count
-    assert len(got) == len(want)
-    for a, b in zip(sorted(got), want):
-        assert min(abs(a - b), q - abs(a - b)) <= 1e-8
+    assert len(oracle[r][0]) >= 2
+    for comp, points in zip(geo.components, geo.crossings):
+        want, _ = oracle[comp.shift]
+        got = sorted(pt.t0 for pt in points)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert min(abs(a - b), q - abs(a - b)) <= 1e-8
 
 
 HARMONIC = st.tuples(st.integers(1, 4), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4))
@@ -302,6 +329,7 @@ HARMONIC = st.tuples(st.integers(1, 4), st.floats(-0.4, 0.4), st.floats(-0.4, 0.
 def test_line_crossings_match_dense_sampling(p, q, c, harmonics):
     assume(math.gcd(p, q) == 1)
     g = make_graph(p=p, q=q, c=c, wiggle=harmonics)
+    samples = []
     for comp in lift_components(g):
         lo, hi = _scan_interval(comp)
         ts = np.linspace(lo, hi, 200_001)
@@ -311,10 +339,13 @@ def test_line_crossings_match_dense_sampling(p, q, c, harmonics):
         dy = np.diff(ys)
         extrema = np.flatnonzero((dy[:-1] < 0) != (dy[1:] < 0)) + 1
         assume(np.all(np.abs(ys[extrema]) > 1e-5))
-        try:
-            got = zero_crossings(comp)
-        except TransversalityError:
-            return  # tangential or nearly so; only transversal scenes count
+        samples.append((ts, ys))
+    try:
+        geo = object_geometry(g)  # every component in one scan, as verify reads it
+    except TransversalityError:
+        return  # tangential or nearly so; only transversal scenes count
+    assert len(geo.crossings) == len(samples)
+    for comp, got, (ts, ys) in zip(geo.components, geo.crossings, samples):
         change = np.flatnonzero((ys[:-1] < 0) != (ys[1:] < 0))
         want = [brentq(comp.height, ts[i], ts[i + 1], xtol=1e-14) for i in change]
         assert len(got) == len(want)
