@@ -23,7 +23,7 @@ import numpy as np
 from .derham import analytic_dims, discretized_dims
 from .errors import TorusMirrorError, ValidationError
 from .floer import boundary_transport_differential, build_complex, cohomology_dims, matrix_rank
-from .fourier import MirrorPoint, ThetaSection, bundle_invariants, dbar_residual, standard_section, theta_eval_batch
+from .fourier import MirrorPoint, ThetaSection, bundle_invariants, dbar_residuals, standard_section, theta_eval_batch
 from .geometry import Harmonic, LagrangianGraph
 from .localsys import LocalSystem, TwistedTransport
 
@@ -109,14 +109,17 @@ def _object_from_dict(raw: dict) -> TwistedTransport:
     if missing:
         raise ValidationError(f"object {oid}: missing fields {sorted(missing)}")
     try:
-        wiggle = tuple(Harmonic(term["m"], term["a"], term["b"]) for term in raw["wiggle"])
-        graph = LagrangianGraph(id=oid, q=raw["q"], p=raw["p"], c=raw["c"], wiggle=wiggle)
-        system = LocalSystem(_monodromy_from_json(raw["local_system"]["monodromy"], oid))
-        if system.rank != raw["local_system"]["rank"]:
-            raise ValidationError(
-                f"object {oid}: declared rank {raw['local_system']['rank']} "
-                f"but monodromy is {system.rank}x{system.rank}"
-            )
+        try:
+            wiggle = tuple(Harmonic(term["m"], term["a"], term["b"]) for term in raw["wiggle"])
+            graph = LagrangianGraph(id=oid, q=raw["q"], p=raw["p"], c=raw["c"], wiggle=wiggle)
+            system = LocalSystem(_monodromy_from_json(raw["local_system"]["monodromy"], oid))
+            rank = raw["local_system"]["rank"]
+        except (KeyError, TypeError) as err:
+            # a wiggle term or local system without one of its fields, or a
+            # string where a number belongs
+            raise ValidationError(f"malformed entry ({type(err).__name__}: {err})") from err
+        if system.rank != rank:
+            raise ValidationError(f"object {oid}: declared rank {rank} but monodromy is {system.rank}x{system.rank}")
         tt = TwistedTransport(graph, system)
         tt.geometry  # builds the crossing record: transversality and alternation, eagerly
     except TorusMirrorError as err:
@@ -196,8 +199,10 @@ def dbar_check(section: ThetaSection, tol: float) -> tuple[float, float]:
     that rate is kept, and so is one still above tol at DBAR_STEP_MIN.
     """
 
+    points = [MirrorPoint(t, x) for t, x in DBAR_SAMPLE_POINTS]
+
     def worst(h: float) -> float:
-        return max(dbar_residual(section, MirrorPoint(t, x), h) for t, x in DBAR_SAMPLE_POINTS)
+        return float(np.max(dbar_residuals(section, points, h)))
 
     h, residual = DBAR_STEP, worst(DBAR_STEP)
     while residual > tol and h > DBAR_STEP_MIN:

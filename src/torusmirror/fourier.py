@@ -11,13 +11,15 @@ out, per coefficient, the lattice lifts of every branch as one
 (P, q, lifts) array, takes the coefficient's flat transports and twists
 on all of it at once, picks each row's peak by one argmax of the log
 magnitude, and gathers the 2K+1 window around it.  theta_eval,
-dbar_residual, tensor_compat_check and app.sample_section call it.
+dbar_residuals, tensor_compat_check and app.sample_section call it.
 The scan reaches K + PEAK_SCAN_PAD shifts either side of the vertex of the
 quadratic weight; a peak on its edge raises NumericsError instead of
 summing a window that misses the true peak.
 
-dbar_residual differences the nine values of a fourth-order stencil of
-step h, evaluated as one batch.  The verify check (app.dbar_check) starts
+dbar_residuals differences the nine values of a fourth-order stencil of
+step h around each of its points, all points' stencils evaluated as one
+batch; dbar_residual is its one-point case.  The verify check
+(app.dbar_check) samples all its points in one call per step; it starts
 at h = 1e-3 and halves h while a residual above tolerance falls at the
 stencil's own rate (at least 12-fold per halving), down to h/8, so that
 the O(h^4) error of the stencil is not reported as a holomorphicity fault.
@@ -304,37 +306,46 @@ def _fd4(values, h: float) -> np.ndarray:
     return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
 
 
-def dbar_residual(sec: ThetaSection, point: MirrorPoint, h: float = 1e-3) -> float:
-    """Finite-difference residual of the twisted Cauchy-Riemann operator.
+def dbar_residuals(sec: ThetaSection, points, h: float = 1e-3) -> np.ndarray:
+    """Finite-difference residuals of the twisted Cauchy-Riemann operator at
+    each of the mirror points, shape (P,).
 
     In the branch trivialization the operator is
     dbar_z + pi * xdual * Y'(t + j), with dbar_z = (d/dxdual + i d/dt)/2;
     every lattice term is annihilated exactly, so the residual measures only
-    discretization error.  The result is max over branches of |residual|
-    normalized by the largest section magnitude on the stencil.  The nine
-    stencil points are evaluated as one batch.
+    discretization error.  A point's residual is the max over branches of
+    |residual| normalized by the largest section magnitude on its stencil.
+    The nine stencil points of every point are evaluated as one batch.
     """
     g = sec.parent.graph
-    t, x = point.t, point.xdual
-    if min(t % 1.0, -t % 1.0) < 2.5 * h:
-        raise ValidationError(
-            f"point t = {t:.6g} is within the seam margin ({2.5 * h:.3g}); "
-            "branch trivializations jump at integer t"
-        )
+    for point in points:
+        if min(point.t % 1.0, -point.t % 1.0) < 2.5 * h:
+            raise ValidationError(
+                f"point t = {point.t:.6g} is within the seam margin ({2.5 * h:.3g}); "
+                "branch trivializations jump at integer t"
+            )
+    t = np.array([point.t for point in points], dtype=float)[:, None]
+    x = np.array([point.xdual for point in points], dtype=float)[:, None]
     steps = np.array([-2, -1, 1, 2]) * h
-    ts = np.concatenate(([t], np.full(4, t), t + steps))
-    xs = np.concatenate(([x], x + steps, np.full(4, x)))
-    values, _ = theta_eval_batch(sec, ts, xs)
+    ts = np.concatenate((t, np.repeat(t, 4, axis=1), t + steps), axis=1)
+    xs = np.concatenate((x, x + steps, np.repeat(x, 4, axis=1)), axis=1)
+    values, _ = theta_eval_batch(sec, ts.ravel(), xs.ravel())
+    values = values.reshape(ts.shape + values.shape[1:]).swapaxes(0, 1)  # (9, P, q, n)
     center = values[0]
     d_x = _fd4(values[1:5], h)
     d_t = _fd4(values[5:9], h)
 
-    scale = float(np.max(np.abs(values)))
-    if scale < 1e-300:
-        return 0.0
+    scale = np.max(np.abs(values), axis=(0, 2, 3))
     dbar = 0.5 * (d_x + 1j * d_t)
-    residual = dbar + math.pi * x * g.slope(t + np.arange(g.q))[:, None] * center
-    return float(np.max(np.abs(residual))) / scale
+    residual = dbar + math.pi * x[..., None] * g.slope(t + np.arange(g.q))[..., None] * center
+    worst = np.max(np.abs(residual), axis=(1, 2))
+    flat = scale < 1e-300
+    return np.where(flat, 0.0, worst / np.where(flat, 1.0, scale))
+
+
+def dbar_residual(sec: ThetaSection, point: MirrorPoint, h: float = 1e-3) -> float:
+    """The dbar residual at one mirror point (a batch of one)."""
+    return float(dbar_residuals(sec, [point], h)[0])
 
 
 @dataclass(frozen=True)

@@ -309,6 +309,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda obj: obj["wiggle"][0].pop("a"),
+            lambda obj: obj.update(c="0.5"),
+            lambda obj: obj["wiggle"][0].update(b="0.5"),
+            lambda obj: obj["local_system"].pop("rank"),
+        ],
+        ids=["wiggle-without-a", "string-c", "string-b", "local-system-without-rank"],
+    )
+    @pytest.mark.parametrize("command", ["inspect", "verify"])
+    def test_malformed_object_entries_exit_2(self, tmp_path, capsys, malform, command):
+        obj = object_dict(id="odd", c=0.5, wiggle=[(1, 0.0, 0.5)])
+        malform(obj)
+        path = write_scene(tmp_path, scene_dict(obj))
+        assert main([command, "--scene", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "object odd: malformed entry" in err and "Traceback" not in err
+
     def test_inspect_and_floer(self, tmp_path, capsys):
         path = write_scene(
             tmp_path, scene_dict(object_dict(id="wiggle", c=0.5, wiggle=[(1, 0.0, 0.5)]))

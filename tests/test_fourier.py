@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torusmirror.fourier as fourier
-from torusmirror.errors import DecayError, NumericsError, UnsupportedError
+from torusmirror.errors import DecayError, NumericsError, UnsupportedError, ValidationError
 from torusmirror.fourier import (
     CircleCoefficient,
     HorizontalCoefficient,
@@ -16,6 +16,7 @@ from torusmirror.fourier import (
     bundle_invariants,
     convolve,
     dbar_residual,
+    dbar_residuals,
     dual_object,
     kernel,
     poincare_holonomy,
@@ -382,6 +383,35 @@ def test_dbar_residual_is_one_batch(monkeypatch):
     assert len(batches) == 1 and len(batches[0][1]) == 9
     assert len(powers) <= len(sec.coefficients)
 
+
+
+def test_dbar_residuals_match_one_point_calls_in_one_batch(monkeypatch):
+    from torusmirror.app import DBAR_SAMPLE_POINTS, dbar_check
+
+    g = make_graph(p=2, q=3, c=0.1, wiggle=[(1, 0.03, 0.02), (3, -0.02, 0.04)])
+    sec = standard_section(TwistedTransport(g, LocalSystem([[0.0, 1.5], [1.0, 0.2]])))
+    points = [MirrorPoint(t, x) for t, x in DBAR_SAMPLE_POINTS]
+    for h in (1e-3, 5e-4):
+        one_by_one = [dbar_residual(sec, pt, h) for pt in points]
+        assert dbar_residuals(sec, points, h).tolist() == one_by_one
+
+    batches = []
+    batch = fourier.theta_eval_batch
+
+    def counted_batch(*args):
+        batches.append(len(args[1]))
+        return batch(*args)
+
+    monkeypatch.setattr(fourier, "theta_eval_batch", counted_batch)
+    residual, h = dbar_check(sec, 1.0)
+    assert batches == [9 * len(points)] and h == 1e-3
+    assert residual == max(dbar_residual(sec, pt, h) for pt in points)
+
+
+def test_dbar_residuals_check_the_seam_margin_at_every_point():
+    sec = standard_section(canonical_object())
+    with pytest.raises(ValidationError, match="seam margin"):
+        dbar_residuals(sec, [MirrorPoint(0.3, 0.2), MirrorPoint(0.999, 0.2), MirrorPoint(0.6, 0.2)], h=1e-3)
 
 def test_theta_batch_chunks_are_invisible(monkeypatch, rng):
     g = make_graph(p=2, q=3, c=0.1, wiggle=[(1, 0.03, 0.02)])

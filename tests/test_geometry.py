@@ -356,31 +356,21 @@ def test_line_crossings_match_dense_sampling(p, q, c, harmonics):
 
 def scalar_refine_root(f, fprime, lo, hi):
     """One bracket at a time: the reference the batched sweep must match."""
-    flo = f(lo)
+    sign_at_lo = -1.0 if f(lo) < 0 else 1.0
+    x = 0.5 * (lo + hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < ROOT_TOL:
-            break
-    root = 0.5 * (lo + hi)
-    for _ in range(8):
-        d = fprime(root)
-        if d == 0.0:
-            break
-        step = f(root) / d
-        if not math.isfinite(step):
-            break
-        root -= step
+        fx = f(x)
+        if fx * sign_at_lo >= 0:
+            lo = x
+        if fx * sign_at_lo <= 0:
+            hi = x
+        d = fprime(x)
+        newton = x - fx / d if d != 0.0 else math.nan
+        nxt = newton if math.isfinite(newton) and lo <= newton <= hi else 0.5 * (lo + hi)
+        step, x = nxt - x, nxt
         if abs(step) < ROOT_TOL:
             break
-    return root
+    return x
 
 
 def test_batched_refinement_matches_scalar_reference():
@@ -398,6 +388,81 @@ def test_batched_refinement_matches_scalar_reference():
         got = _refine_roots(f, fprime, lo, hi)
         assert got.tolist() == [scalar_refine_root(f, fprime, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
+
+
+def _traced(f, fprime):
+    """f and fprime that record every point f is evaluated at and the raw
+    Newton point wherever fprime is."""
+    points, newton = [], []
+
+    def traced_f(t):
+        points.append(np.array(t, dtype=float))
+        return f(t)
+
+    def traced_fprime(t):
+        d = fprime(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton.append(t - f(t) / d)
+        return d
+
+    return traced_f, traced_fprime, points, newton
+
+
+def test_refinement_stays_in_wide_brackets_where_newton_overshoots():
+    # arctan is flat far from its root: the first Newton points leave the bracket
+    roots = np.array([17.3, -3.0, 0.1])
+    lo, hi = np.array([-10.0, -50.0, -1e3]), np.array([30.0, 1.0, 1e3])
+    f, fprime, points, newton = _traced(lambda t: np.arctan(t - roots), lambda t: 1.0 / (1.0 + (t - roots) ** 2))
+    got = _refine_roots(f, fprime, lo, hi)
+    assert any(np.any(~((lo <= raw) & (raw <= hi))) for raw in newton)
+    assert all(np.all((lo <= t) & (t <= hi)) for t in points)
+    assert np.all(np.abs(got - roots) <= 4 * np.spacing(np.abs(roots)))
+
+
+@pytest.mark.parametrize("c", [0.3, -0.6, 0.9])
+def test_refinement_on_a_piece_between_critical_points(c):
+    # Y = c + u^3 + delta*u with u = cos(2 pi t): Y' = -2 pi sin(2 pi t) (3u^2 + delta),
+    # so [0, 1/2] is one monotone piece between critical points, and its
+    # midpoint has slope -2 pi delta: the first Newton point lies far outside
+    delta = 1e-3
+    g = make_graph(p=0, q=1, c=c, wiggle=[(1, 0.75 + delta, 0.0), (3, 0.25, 0.0)])
+    assert g.slope(0.0) == 0.0 and abs(g.slope(0.5)) < 1e-14
+    f, fprime, points, newton = _traced(g.height, g.slope)
+    (got,) = _refine_roots(f, fprime, np.array([0.0]), np.array([0.5]))
+    # the one real root of u^3 + delta*u + c, in its trigonometric form
+    u = -2.0 * math.sqrt(delta / 3) * math.sinh(math.asinh(1.5 * c / delta * math.sqrt(3 / delta)) / 3)
+    want = math.acos(u) / (2 * math.pi)
+    assert any(not 0.0 <= raw[0] <= 0.5 for raw in newton)
+    assert all(0.0 <= t[0] <= 0.5 for t in points)
+    assert abs(got - want) <= 8 * np.spacing(want)
+
+
+def test_linear_height_converges_in_three_evaluations():
+    g = make_graph(p=2, q=3, c=0.4)
+    comps = lift_components(g)
+    shifts = np.array([comp.shift for comp in comps], dtype=float)
+    lo, hi = np.array([_scan_interval(comp) for comp in comps]).T
+    calls = []
+    got = _refine_roots(lambda t: calls.append(t) or g.height(t) + shifts, g.slope, lo, hi)
+    assert len(calls) <= 3
+    want = -(g.c + shifts) * g.q / g.p
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
+def test_object_scan_evaluation_count(monkeypatch):
+    # bisecting every bracket to ROOT_TOL before a Newton polish took 78
+    # calls of f and f' on this object; safeguarded Newton takes 22
+    g = make_graph(p=1, q=2, c=0.1, wiggle=[(1, 0.3, 0.2), (2, -0.25, 0.1), (3, 0.1, 0.2), (4, 0.05, -0.12)])
+    calls = []
+    real = geometry._refine_roots
+
+    def counted(f, fprime, lo, hi):
+        return real(lambda t: calls.append(t) or f(t), lambda t: calls.append(t) or fprime(t), lo, hi)
+
+    monkeypatch.setattr(geometry, "_refine_roots", counted)
+    geo = object_geometry(g)
+    assert [pt.sign for pt in geo.crossings[0]] == [1, -1, 1, -1, 1]
+    assert len(calls) <= 30
 
 @settings(max_examples=40, deadline=None)
 @given(
