@@ -3,8 +3,8 @@
 The same cohomology is computed on three sides and cross-checked:
 theta-type holomorphic sections on the mirror side, an intersection complex
 with area-weighted differential, and the de Rham cohomology of twisted
-rapidly-decreasing sections (a finite-difference discretization, plus a
-case classification that reuses the intersection complex).
+rapidly-decreasing sections (a finite-difference discretization, plus an
+analytic count from each lift component's asymptotics).
 """
 
 from .errors import (

@@ -1,22 +1,22 @@
 """De Rham cohomology of twisted rapidly-decreasing sections, two ways.
 
-The analytic route removes the negative crossings and classifies the
-residual pieces (closed circles / finite intervals / half-infinite
-intervals with decaying or growing weight).  It is not an independent
-assembly: its dimensions are the intersection complex's cohomology, which
-accounts for every open piece, plus (k, k) for each closed circle whose
-twisted monodromy has an eigenvalue-1 block of size k.  The explicit
-integral solver for the half-infinite pieces is spot-checked on random
-right-hand sides.  The discretized route puts the covariant derivative on
-a midpoint grid per line, with the seam matrix where the lattice meets t
-in q*Z.  Its index is +-n by shape; one banded Cholesky factor certifies
-the singular-value margin of the full-rank side, which fixes kernel and
-cokernel.  Circles reduce to the discrete loop propagator.
+The analytic route reads each lift component's asymptotics, not the
+crossing record: a line's weight exp(-(a t^2/2 + b t)) decays for p > 0,
+giving (n, 0) per line, and grows for p < 0, giving (0, n); a circle gives
+(k, k) for an eigenvalue-1 block of size k of its twisted monodromy.  The
+explicit integral solver is spot-checked on random right-hand sides.  The
+discretized route puts the covariant derivative on a midpoint grid per
+line, with the seam matrix where the lattice meets t in q*Z.  Its index is
++-n by shape; one banded Cholesky factor certifies the singular-value
+margin of the full-rank side, which fixes kernel and cokernel.  Circles
+reduce to the discrete loop propagator.
 
-Case tags: case1 = closed circle (no crossings); case2 = finite interval
-between two negative points; case3a = interval with an infinite end and
-decaying weight (slope > 0, one positive point); case3b = infinite end
-with growing weight (slope < 0, no positive point).
+classify_components cuts every component at its negative crossings, for
+the derham CLI's case table.  Case tags: case1 = closed circle (no
+crossings); case2 = finite interval between two negative points; case3a =
+interval with an infinite end and decaying weight (slope > 0, one positive
+point); case3b = infinite end with growing weight (slope < 0, no positive
+point).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, UnsupportedError, ValidationError, WindowError
-from .floer import RANK_TOL, build_complex, cohomology_dims, matrix_rank
-from .geometry import CIRCLE, LiftComponent, lift_components
+from .floer import RANK_TOL, matrix_rank
+from .geometry import CIRCLE, LINE, LiftComponent, lift_components
 from .localsys import TwistedTransport, circle_monodromy
 
 TWO_PI = 2.0 * math.pi
@@ -207,8 +207,7 @@ def case3_solve(a: float, b: float, g, C: complex, xs: np.ndarray) -> tuple[np.n
     return j_vals, bool(a > 0 or C == 0)
 
 
-def _spot_check_case3(case: ComponentCase, n_rhs: int, rng: np.random.Generator) -> None:
-    a, b = case.a, case.b
+def _spot_check_case3(a: float, b: float, label: str, n_rhs: int, rng: np.random.Generator) -> None:
     vertex = -b / a
     half_width = 4.5 * max(1.0, math.sqrt(TWO_PI / abs(a)))
     # the stencil's own error grows with a; the step shrinks with it
@@ -230,39 +229,32 @@ def _spot_check_case3(case: ComponentCase, n_rhs: int, rng: np.random.Generator)
         rel = np.max(np.abs(residual)) / scale
         # written so that a non-finite residual fails too
         if not rel <= SPOT_CHECK_TOL:
-            raise NumericsError(
-                f"component {case.component.label}: surjectivity spot check failed (residual {rel:.3g})"
-            )
+            raise NumericsError(f"component {label}: surjectivity spot check failed (residual {rel:.3g})")
 
 
 def analytic_dims(tt: TwistedTransport, rank_tol: float = RANK_TOL) -> tuple[int, int]:
-    """Cohomology dimensions by the case classification.
+    """Cohomology dimensions from each component's asymptotics, reading
+    neither the crossing record nor the intersection complex.
 
-    Finite and half-infinite decaying pieces contribute one copy of the
-    fiber per positive point; the induced map to the negative points is
-    exactly the intersection complex's matrix, so its cohomology gives the
-    open-piece contribution.  Closed circles add (k, k) per eigenvalue-1
-    block of the twisted monodromy, located through the flat eigenvalue
-    moduli rather than any fixed window.  The interval solver is
-    spot-checked on up to two decaying half-infinite pieces.
+    p > 0: every horizontal section exp(-phi) v decays and case3_solve
+    solves every right-hand side, so (n*p, 0); the solver is spot-checked
+    on the shift-0 line's (a, b).  p < 0: no section decays and the
+    obstruction g -> integral of g*exp(phi) has rank n, so (0, n*|p|).
+    p = 0: (k, k), k summing the twisted monodromy's eigenvalue-1 block
+    sizes over the circles the flat eigenvalue moduli single out.
     """
-    h0, h1 = cohomology_dims(build_complex(tt), rank_tol)
-
-    if tt.graph.p == 0:
-        # every circle meeting the zero section lies inside the record's window
-        geo = tt.geometry
-        crossing = {comp.shift for comp, points in zip(geo.components, geo.crossings) if points}
-        for shift in _circle_candidate_shifts(tt):
-            if shift not in crossing:
-                k = case1_kernel_dim(_circle_case(tt, LiftComponent(tt.graph, CIRCLE, shift)), rank_tol)
-                h0 += k
-                h1 += k
-
-    rng = np.random.default_rng(1728)
-    case3a = [c for c in classify_components(tt) if c.case == CASE3A]
-    for case in case3a[:2]:
-        _spot_check_case3(case, n_rhs=2, rng=rng)
-    return h0, h1
+    g, n = tt.graph, tt.rank
+    if g.p == 0:
+        k = sum(
+            case1_kernel_dim(_circle_case(tt, LiftComponent(g, CIRCLE, shift)), rank_tol)
+            for shift in _circle_candidate_shifts(tt)
+        )
+        return k, k
+    if g.p < 0:
+        return 0, n * -g.p
+    label = LiftComponent(g, LINE, 0).label
+    _spot_check_case3(TWO_PI * g.p / g.q, TWO_PI * g.c, label, n_rhs=4, rng=np.random.default_rng(1728))
+    return n * g.p, 0
 
 
 # -- discretized route --------------------------------------------------

@@ -49,24 +49,11 @@ def _index(points) -> dict[int, int]:
     return {id(pt): i for i, pt in enumerate(points)}
 
 
-def _warn_equal_direction_pairs(arcs) -> None:
-    seen: dict[tuple[int, float, float], int] = {}
-    for arc in arcs:
-        key = (arc.plus.component.shift, arc.plus.t0, arc.minus.t0)
-        if seen.get(key) == arc.direction:
-            warnings.warn(
-                "two simple arcs between one crossing pair share a direction; "
-                "sign convention untested here, review the scene"
-            )
-        seen[key] = arc.direction
-
-
 def build_complex(tt: TwistedTransport) -> FloerComplex:
     """Assemble the complex from crossings, arcs, areas, and flat transports."""
     if not tt.system.is_quasi_unitary():
         warnings.warn(f"object {tt.id}: local system is not quasi-unitary; dimensions may shift")
     geo = tt.geometry
-    _warn_equal_direction_pairs(geo.arcs)
     positives, negatives = geo.positives, geo.negatives
     n = tt.rank
     col, row = _index(positives), _index(negatives)

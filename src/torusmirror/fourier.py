@@ -52,6 +52,9 @@ PEAK_SCAN_PAD = 9
 #: points evaluated together inside one batch; bounds the (points, q, lifts, n)
 #: arrays to a few MB
 BATCH_CHUNK = 1024
+#: relative defect |hol v - v| below which a circle coefficient's vector
+#: counts as fixed by the twisted monodromy
+CIRCLE_FIXED_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -121,13 +124,13 @@ class CircleCoefficient(_SectionCoefficient):
     """Coefficient on a circle component: a single-valued horizontal section,
     which exists exactly when the twisted monodromy fixes the vector."""
 
-    def __init__(self, system: LocalSystem, comp: LiftComponent, anchor_t: float, v, tol: float = 1e-9):
+    def __init__(self, system: LocalSystem, comp: LiftComponent, anchor_t: float, v):
         if comp.kind != CIRCLE:
             raise ValidationError(f"component {comp.label} is not a circle")
         v = np.asarray(v, dtype=complex).reshape(system.rank)
         hol = circle_monodromy(system, comp)
         defect = np.linalg.norm(hol @ v - v)
-        if defect > tol * max(np.linalg.norm(v), 1.0):
+        if defect > CIRCLE_FIXED_TOL * max(np.linalg.norm(v), 1.0):
             raise DecayError(
                 f"component {comp.label}: twisted monodromy moves the vector "
                 f"(defect {defect:.3g}); no single-valued horizontal section"

@@ -167,9 +167,7 @@ def circle_monodromy(system: LocalSystem, comp: LiftComponent) -> np.ndarray:
     return system.monodromy * math.exp(-TWO_PI * g.q * (g.c + comp.shift))
 
 
-def quasi_unitarize(
-    system: LocalSystem, graph: LagrangianGraph, tol: float = QUASI_UNITARY_TOL
-) -> tuple[LocalSystem, float]:
+def quasi_unitarize(system: LocalSystem, graph: LagrangianGraph) -> tuple[LocalSystem, float]:
     """Rescale the monodromy to unit |det| and return the compensating twist.
 
     T' = T * |det T|^(-1/n) and mu_coeff = log|det T| / (2*pi*n*q); the loop

@@ -241,6 +241,28 @@ class TestRunVerify:
         assert not entry["checks"]["dbar_ok"] and not entry["pass"]
         assert entry["dbar_residual_max"] > 1e-6
 
+    def test_broken_complex_fails_analytic_agreement(self, monkeypatch):
+        import torusmirror
+        import torusmirror.floer as floer
+
+        real = floer.build_complex
+
+        def zeroed(tt):
+            fc = real(tt)
+            return floer.FloerComplex(fc.f0, fc.f1, fc.n, np.zeros_like(fc.d))
+
+        # every module that binds the assembly under its own name gets the fault
+        for name in ("app", "cli", "derham", "floer"):
+            module = getattr(torusmirror, name)
+            if hasattr(module, "build_complex"):
+                monkeypatch.setattr(module, "build_complex", zeroed)
+        scene = scene_from_dict(scene_dict(object_dict(id="wiggle", c=0.5, wiggle=[(1, 0.0, 0.5)])))
+        entry = run_verify(scene).objects[0]
+        assert entry["floer_dims"] == [2, 1]
+        assert entry["analytic_dims"] == [1, 0]
+        assert entry["checks"]["analytic_agrees"] is False
+        assert not entry["pass"]
+
     def test_circle_object_skips_dbar(self):
         scene = scene_from_dict(scene_dict(object_dict(id="circ", p=0, c=0.3)))
         report = run_verify(scene)
@@ -445,13 +467,19 @@ def test_each_component_scanned_and_each_arc_integrated_once(tmp_path, monkeypat
     import torusmirror.geometry as geometry
 
     scans: dict[str, int] = {}
+    assemblies: dict[str, int] = {}
     sweeps: list[int] = []  # brackets per _refine_roots sweep
     quadratures: dict[tuple, int] = {}
     real_scan, real_sweep, real_area = geometry._crossing_scan, geometry._refine_roots, geometry._signed_area
+    real_assembly = floer.build_complex
 
     def counted_scan(graph, comps):
         scans[graph.id] = scans.get(graph.id, 0) + 1
         return real_scan(graph, comps)
+
+    def counted_assembly(tt):
+        assemblies[tt.id] = assemblies.get(tt.id, 0) + 1
+        return real_assembly(tt)
 
     def counted_sweep(f, fprime, lo, hi):
         sweeps.append(len(lo))
@@ -462,12 +490,15 @@ def test_each_component_scanned_and_each_arc_integrated_once(tmp_path, monkeypat
         quadratures[key] = quadratures.get(key, 0) + 1
         return real_area(comp, t_from, t_to)
 
-    # every module that binds the object-level scan under its own name gets
-    # the counter; the scan covers all of an object's components
+    # every module that binds the object-level scan or the complex's assembly
+    # under its own name gets the counter; the scan covers all of an object's
+    # components
     for name in ("app", "cli", "derham", "floer", "fourier", "geometry", "localsys"):
         module = getattr(torusmirror, name)
         if hasattr(module, "_crossing_scan"):
             monkeypatch.setattr(module, "_crossing_scan", counted_scan)
+        if hasattr(module, "build_complex"):
+            monkeypatch.setattr(module, "build_complex", counted_assembly)
     monkeypatch.setattr(geometry, "_refine_roots", counted_sweep)
     monkeypatch.setattr(geometry, "_signed_area", counted_area)
 
@@ -494,12 +525,15 @@ def test_each_component_scanned_and_each_arc_integrated_once(tmp_path, monkeypat
 
     for sequence in (full_verify, routes):
         scans.clear()
+        assemblies.clear()
         sweeps.clear()
         quadratures.clear()
         sequence()
         # one scan per object, each with one critical-point and one root sweep
         assert sorted(scans) == ["circle", "down", "line"] and set(scans.values()) == {1}
         assert len(sweeps) == 2 * len(scans)
+        # the analytic route reads no intersection complex: one assembly per object
+        assert assemblies == {"circle": 1, "down": 1, "line": 1}
         assert len(quadratures) >= 6 and set(quadratures.values()) == {1}
 
 

@@ -251,6 +251,15 @@ class TestAnalyticDims:
         # error stays below the tolerance
         assert analytic_dims(brane(p, c=0.0)) == (p, 0)
 
+    def test_reads_no_crossing_record(self, monkeypatch):
+        def no_record(tt):
+            raise AssertionError("the analytic route read the crossing record")
+
+        monkeypatch.setattr(TwistedTransport, "geometry", property(no_record))
+        assert analytic_dims(brane(1, c=0.5, wiggle=[(1, 0.0, 0.5)])) == (1, 0)
+        assert analytic_dims(brane(-2, c=0.25)) == (0, 2)
+        assert analytic_dims(brane(0, c=0.0, wiggle=[(1, 0.0, 0.5)])) == (1, 1)
+
     def test_non_finite_spot_check_fails(self, monkeypatch):
         def broken(a, b, g, C, xs):
             return np.full(len(xs), np.nan, dtype=complex), True
