@@ -8,8 +8,11 @@ explicit integral solver is spot-checked on random right-hand sides.  The
 discretized route puts the covariant derivative on a midpoint grid per
 line, with the seam matrix where the lattice meets t in q*Z.  Its index is
 +-n by shape; one banded Cholesky factor certifies the singular-value
-margin of the full-rank side, which fixes kernel and cokernel.  Circles
-reduce to the discrete loop propagator.
+margin of the full-rank side, which fixes kernel and cokernel.  Away from
+the seams the operator is a scalar times I, so the Gram band is two scalar
+diagonals with the few seam blocks patched in.  Circles reduce to the
+discrete loop propagator, whose eigenvalues count as 1 within its own
+defect bound.
 
 classify_components cuts every component at its negative crossings, for
 the derham CLI's case table.  Case tags: case1 = closed circle (no
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, UnsupportedError, ValidationError, WindowError
-from .floer import RANK_TOL, matrix_rank
+from .floer import RANK_TOL
 from .geometry import CIRCLE, LINE, LiftComponent, lift_components
 from .localsys import TwistedTransport, circle_monodromy
 
@@ -38,10 +41,9 @@ CASE2 = "case2"
 CASE3A = "case3a"
 CASE3B = "case3b"
 
-#: |eigenvalue - 1| cutoff for the discrete loop propagator; the propagator
-#: carries an O(h^2) multiplicative defect, everything else sits a factor
-#: exp(pi/2) or more away for the scene families treated here
-PROPAGATOR_TOL = 1e-3
+#: a loop propagator eigenvalue further from 1 than the propagator's defect
+#: bound but within this multiple of it is too close to call
+PROPAGATOR_MARGIN = 10.0
 
 #: relative singular-value cutoff for the discretized operator: the discrete
 #: kernel/cokernel vectors carry O(h^2) residuals, far above floer's 1e-9
@@ -116,8 +118,12 @@ def classify_components(tt: TwistedTransport) -> list[ComponentCase]:
 
 
 def case1_kernel_dim(case: ComponentCase, rank_tol: float = RANK_TOL) -> int:
+    """Dimension of the twisted monodromy's fixed space: the singular values
+    of M - I at or below rank_tol * |M|, an absolute cutoff, so that a
+    rounding-sized M - I counts as zero whatever its own scale."""
     m = case.monodromy
-    return m.shape[0] - matrix_rank(m - np.eye(m.shape[0]), rank_tol)
+    sv = np.linalg.svd(m - np.eye(m.shape[0]), compute_uv=False)
+    return int(np.sum(sv <= rank_tol * np.linalg.norm(m, 2)))
 
 
 def _circle_candidate_shifts(tt: TwistedTransport) -> list[int]:
@@ -268,32 +274,54 @@ def _line_gram_band(
 
     Row i of D is left_i A_i on node i and right_i on node i+1.  Nodes sit
     at lattice midpoints, so each row's center is a lattice point: where it
-    lies on q*Z, A_i is the flat seam matrix, elsewhere I.  p > 0: no
-    boundary rows, n fewer rows than columns, G = D D^H.  p < 0: decay rows
-    at both truncations, n more rows than columns, G = D^H D."""
+    lies on q*Z (a seam), A_i is the flat seam matrix T, elsewhere I.
+    p > 0: no boundary rows, n fewer rows than columns, G = D D^H.  p < 0:
+    decay rows at both truncations, n more rows than columns, G = D^H D.
+
+    Away from the seams G is a scalar times I in every block, so the band
+    is two scalar diagonals (rows 0 and n) written as 1-D arrays; only the
+    blocks that a seam row touches are then patched in full: the diagonal
+    block left^2 T T^H + right^2 I (p > 0) or left^2 T^H T plus the
+    neighbour's right^2 and any decay row (p < 0), and the off-diagonal
+    block right * left * T.  T need not be unitary."""
     g = comp.parent
     n = t_mono.shape[0]
     n_nodes = int(round((hi - lo) / hp))
     lattice = math.floor(lo / hp) + 1 + np.arange(n_nodes - 1)
     ys = comp.height(lattice * hp)
     left = -1.0 / hp + math.pi * ys
-    right = (1.0 / hp + math.pi * ys)[:, None, None]
+    right = 1.0 / hp + math.pi * ys
+    seams = np.flatnonzero(lattice % (g.q * res) == 0)
     eye = np.eye(n)
-    blocks = np.where((lattice % (g.q * res) == 0)[:, None, None], t_mono, eye) * left[:, None, None]
+    blocks = left[seams, None, None] * t_mono
     blocks_h = blocks.conj().transpose(0, 2, 1)
     if g.p > 0:
-        diag, sub = blocks @ blocks_h + right**2 * eye, right[:-1] * blocks[1:]
+        diag = left * left + right * right
+        sub = right[:-1] * left[1:]
+        seam_diag = blocks @ blocks_h + (right[seams] ** 2)[:, None, None] * eye
+        # the seam row i is row i of D, so its off-diagonal block is G[i, i - 1]
+        keep = seams > 0
+        sub_cols, seam_sub = seams[keep] - 1, right[seams[keep] - 1, None, None] * blocks[keep]
     else:
-        diag = np.zeros((n_nodes, n, n), dtype=complex)
-        diag[:-1] += blocks_h @ blocks
-        diag[1:] += right**2 * eye
-        diag[[0, -1]] += eye / (hp * hp)
-        sub = right * blocks
-    # block column i holds G's rows i*n .. i*n + 2n - 1; skew them into the band
-    stacked = np.concatenate([diag, np.concatenate([sub, np.zeros_like(sub[:1])])], axis=1)
-    rows = np.arange(2 * n)[:, None] + np.arange(n)
-    band = np.where(rows < 2 * n, stacked[:, np.minimum(rows, 2 * n - 1), np.arange(n)], 0.0)
-    return band.transpose(1, 0, 2).reshape(2 * n, -1)
+        diag = np.zeros(n_nodes)
+        diag[:-1] += left * left
+        diag[1:] += right * right
+        diag[[0, -1]] += 1.0 / (hp * hp)
+        sub = right * left
+        seam_diag = blocks_h @ blocks
+        seam_diag += (np.where(seams > 0, right[seams - 1], 0.0) ** 2)[:, None, None] * eye
+        seam_diag += np.where(seams == 0, 1.0 / (hp * hp), 0.0)[:, None, None] * eye
+        sub_cols, seam_sub = seams, right[seams, None, None] * blocks
+
+    band = np.zeros((2 * n, len(diag) * n), dtype=complex)
+    band[0] = np.repeat(diag, n)
+    band[n, : len(sub) * n] = np.repeat(sub, n)
+    for a in range(n):
+        for k in range(n - a):
+            band[k, seams * n + a] = seam_diag[:, a + k, a]
+        for b in range(n):
+            band[n + b - a, sub_cols * n + a] = seam_sub[:, b, a]
+    return band
 
 
 def _gershgorin_bound(band: np.ndarray) -> float:
@@ -311,10 +339,10 @@ def _factors(band: np.ndarray, sigma: float) -> bool:
     stable, so rounding stays at O(eps * |G|), far below the cutoff^2."""
     from scipy.linalg import cholesky_banded  # loaded on first use, off the load path
 
-    shifted = band.copy()
+    shifted = band.copy(order="F")  # Fortran order, so LAPACK factors it in place
     shifted[0] -= sigma * sigma
     try:
-        cholesky_banded(shifted, lower=True, check_finite=False)
+        cholesky_banded(shifted, overwrite_ab=True, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -361,11 +389,25 @@ def _circle_propagator_dims(comp: LiftComponent, t_mono: np.ndarray, hp: float, 
     g = comp.parent
     steps = g.q * res
     mids = (np.arange(steps) + 1.0) * hp  # lattice points of one loop from node at hp/2
-    ys = comp.height(mids)
-    log_factor = float(np.sum(np.log1p(-hp * math.pi * ys) - np.log1p(hp * math.pi * ys)))
-    propagator = t_mono * math.exp(log_factor)  # exactly one seam per loop
-    eigs = np.linalg.eigvals(propagator)
-    k = int(np.sum(np.abs(eigs - 1.0) <= PROPAGATOR_TOL))
+    x = hp * math.pi * comp.height(mids)
+    terms = np.log1p(-x) - np.log1p(x)
+    propagator = t_mono * math.exp(float(np.sum(terms)))  # exactly one seam per loop
+    # each step's log factor differs from -2x by at most 2|x|^3 / (3(1 - x^2)),
+    # and the periodic midpoint sum of -2x is the exact loop integral for every
+    # harmonic below the grid's Nyquist rate; then the rounding of the terms,
+    # their sum, and the eigenvalues
+    eps = np.finfo(float).eps
+    log_defect = float(np.sum(2.0 * np.abs(x) ** 3 / (3.0 * (1.0 - x * x))) + steps * eps * np.sum(np.abs(terms)))
+    bound = math.expm1(log_defect) + len(t_mono) * eps * float(np.linalg.norm(propagator))
+    distance = np.abs(np.linalg.eigvals(propagator) - 1.0)
+    near = distance[(distance > bound) & (distance <= PROPAGATOR_MARGIN * bound)]
+    if near.size:
+        raise NumericsError(
+            f"component {comp.label}: a loop propagator eigenvalue lies {near.min():.3g} from 1, "
+            f"within {PROPAGATOR_MARGIN:g} times the defect bound {bound:.3g}; "
+            f"margin |mu - 1| / bound = {near.min() / bound:.3g}"
+        )
+    k = int(np.sum(distance <= bound))
     return k, k
 
 
@@ -384,7 +426,7 @@ def discretized_dims(
     full-rank side has no singular value at or below rank_tol times the
     square root of its Gram's Gershgorin bound, else NumericsError names
     the component and the margin.  Circles count eigenvalues of the
-    discrete loop propagator within PROPAGATOR_TOL of 1.
+    discrete loop propagator within the propagator's defect bound of 1.
     """
     if h > 1e-2:
         raise ValidationError(f"grid step h = {h} too coarse; need h <= 1e-2")

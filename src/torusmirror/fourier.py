@@ -6,11 +6,13 @@ branch j collects the lattice lifts of the curve over t + j, each weighted
 by the coefficient value there and the kernel exp(2*pi*i * xdual * v) in
 the fiber value v.  The holomorphic coordinate is z = xdual + i*t.
 
-theta_eval_batch is the one evaluation path: for P mirror points it lays
-out, per coefficient, the lattice lifts of every branch as one
-(P, q, lifts) array, takes the coefficient's flat transports and twists
-on all of it at once, picks each row's peak by one argmax of the log
-magnitude, and gathers the 2K+1 window around it.  theta_eval,
+theta_eval_batch is the one evaluation path: for the U distinct t values
+of P mirror points it lays out, per coefficient, the lattice lifts of
+every branch as one (U, q, lifts) array, takes the coefficient's flat
+transports and twists on all of it at once, picks each row's peak by one
+argmax of the log magnitude, and gathers the 2K+1 window around it and
+its tail bound.  None of that depends on the dual coordinate, so only the
+kernel weight and the sum are computed per point.  theta_eval,
 dbar_residuals, tensor_compat_check and app.sample_section call it.
 The scan reaches K + PEAK_SCAN_PAD shifts either side of the vertex of the
 quadratic weight; a peak on its edge raises NumericsError instead of
@@ -161,11 +163,11 @@ class SampledCoefficient:
         return cached
 
     def flat_and_twist(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """Values at an array of s (one func call per distinct s), with zero twist."""
+        """Values at an array of s (one func call per distinct s, through the
+        cache), with zero twist."""
         s = np.asarray(s, dtype=float)
-        distinct, where = np.unique(s, return_inverse=True)
-        table = np.array([self.value(float(u)) for u in distinct])
-        return table[where.reshape(s.shape)], np.zeros(s.shape)
+        table = np.array([self.value(u) for u in s.ravel().tolist()]).reshape(s.shape + (self.rank,))
+        return table, np.zeros(s.shape)
 
     def tail_bound(self, lo_term, hi_term):
         # sampled data carries no analytic rate; assume at worst ratio 1/2
@@ -223,11 +225,17 @@ def zero_section_of(tt: TwistedTransport, K: int = 25) -> ThetaSection:
     return ThetaSection(tt, (), K)
 
 
-def _line_sums(coeff, t_branch: np.ndarray, xdual: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice sums of one line coefficient at the branch points t_branch
-    (P, q) against xdual (P,): the sums (P, q, n) and their truncation
+def _line_sums(
+    coeff, t_branch: np.ndarray, where: np.ndarray, xdual: np.ndarray, K: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice sums of one line coefficient at P points whose branch points
+    are the rows t_branch[where] (t_branch (U, q) holds each distinct row
+    once), against xdual (P,): the sums (P, q, n) and their truncation
     bounds (P, q).
 
+    Only the kernel weight exp(2*pi*i * xdual * v) depends on xdual; the
+    lifts, flat transports and twists, the peak scan, the window and its
+    fiber values, and the tail bound are computed once per distinct row.
     The log magnitude is scanned over K + PEAK_SCAN_PAD lattice shifts on
     either side of the nominal peak (the vertex of the quadratic weight);
     the lifts are computed K + 1 further out, so the window and the two
@@ -254,17 +262,16 @@ def _line_sums(coeff, t_branch: np.ndarray, xdual: np.ndarray, K: int) -> tuple[
 
     # ascending |shift| order, positive side first on ties
     window = center + np.array([0] + [sign * d for d in range(1, K + 1) for sign in (1, -1)])
-    weight = np.exp(
-        np.take_along_axis(twist, window, axis=-1)
-        + 2j * math.pi * xdual[:, None, None] * comp.height(np.take_along_axis(s, window, axis=-1))
-    )
-    sums = (np.take_along_axis(flat, window[..., None], axis=-2) * weight[..., None]).sum(axis=-2)
+    twists = np.take_along_axis(twist, window, axis=-1)[where]
+    heights = comp.height(np.take_along_axis(s, window, axis=-1))[where]
+    weight = np.exp(twists + 2j * math.pi * xdual[:, None, None] * heights)
+    sums = (np.take_along_axis(flat, window[..., None], axis=-2)[where] * weight[..., None]).sum(axis=-2)
 
     tails = center + np.array([-(K + 1), K + 1])
     tail_norms = np.exp(
         log_norm(np.take_along_axis(flat, tails[..., None], axis=-2)) + np.take_along_axis(twist, tails, axis=-1)
     )
-    return sums, coeff.tail_bound(tail_norms[..., 0], tail_norms[..., 1])
+    return sums, coeff.tail_bound(tail_norms[..., 0], tail_norms[..., 1])[where]
 
 
 def theta_eval_batch(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -272,27 +279,30 @@ def theta_eval_batch(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarray]
 
     Returns the values, shape (P, q, n): one n-vector per point and branch
     j = 0..q-1 (the lifts over t + j); and the truncation error bound of
-    the lattice sums at each point, shape (P,).  Raises NumericsError when
-    a coefficient's peak falls on the edge of its lattice scan.
+    the lattice sums at each point, shape (P,).  Work that depends on t
+    alone is done once per distinct t.  Raises NumericsError when a
+    coefficient's peak falls on the edge of its lattice scan.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if ts.shape != xs.shape:
         raise ValidationError(f"got {ts.size} t values but {xs.size} xdual values")
     g = sec.parent.graph
-    t_branch = ts[:, None] + np.arange(g.q)
     values = np.zeros((ts.size, g.q, sec.parent.rank), dtype=complex)
     bound = np.zeros(ts.size)
     for rows in (slice(lo, lo + BATCH_CHUNK) for lo in range(0, ts.size, BATCH_CHUNK)):
+        distinct, where = np.unique(ts[rows], return_inverse=True)
+        t_branch = distinct[:, None] + np.arange(g.q)
         for coeff in sec.coefficients:
             if coeff.component.kind == LINE:
-                sums, tails = _line_sums(coeff, t_branch[rows], xs[rows], sec.K)
+                sums, tails = _line_sums(coeff, t_branch, where, xs[rows], sec.K)
                 values[rows] += sums
                 bound[rows] = np.maximum(bound[rows], tails.max(axis=-1))
             else:
-                flat, twist = coeff.flat_and_twist(t_branch[rows])
-                kern = np.exp(twist + 2j * math.pi * xs[rows, None] * coeff.component.height(t_branch[rows]))
-                values[rows] += flat * kern[..., None]
+                flat, twist = coeff.flat_and_twist(t_branch)
+                heights = coeff.component.height(t_branch)
+                kern = np.exp(twist[where] + 2j * math.pi * xs[rows, None] * heights[where])
+                values[rows] += flat[where] * kern[..., None]
     return values, bound
 
 

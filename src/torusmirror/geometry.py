@@ -423,9 +423,11 @@ def simple_arcs(points: list[IntersectionPoint]) -> list[SimpleArc]:
     arcs = []
     for left, right, t_right in pairs:
         if left.sign == right.sign:
-            # cannot occur for transversal crossings of a continuous branch
-            warnings.warn(f"component {comp.label}: equal-sign adjacent crossings, skipping pair")
-            continue
+            # the crossings of a continuous branch alternate in sign
+            raise ValidationError(
+                f"component {comp.label}: adjacent crossings at t = {left.t0:.6g} and "
+                f"{right.t0:.6g} share sign {left.sign:+d}"
+            )
         if left.is_positive:
             arcs.append(_make_arc(left, right, left.t0, t_right))
         else:

@@ -263,6 +263,15 @@ class TestRunVerify:
         assert entry["checks"]["analytic_agrees"] is False
         assert not entry["pass"]
 
+    def test_circles_just_off_the_zero_section_pass(self):
+        # twisted monodromy exp(-2 pi c) is not 1, and far beyond the loop
+        # propagator's defect, which is rounding-sized for a flat circle
+        objects = [object_dict(id=f"c{c:g}", p=0, c=c) for c in (1e-4, 1e-6, 1e-8)]
+        report = run_verify(scene_from_dict(scene_dict(*objects)))
+        assert report.passed
+        for entry in report.objects:
+            assert entry["floer_dims"] == entry["analytic_dims"] == entry["discretized_dims"] == [0, 0]
+
     def test_circle_object_skips_dbar(self):
         scene = scene_from_dict(scene_dict(object_dict(id="circ", p=0, c=0.3)))
         report = run_verify(scene)

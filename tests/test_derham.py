@@ -291,6 +291,20 @@ class TestDiscretizedDims:
         tt = brane(-3, q=2, c=0.7, mono=random_unitary(2, rng))
         assert discretized_dims(tt) == (0, 6)
 
+    def test_far_eigenvalue_one_circle_off_by_rounding(self):
+        # M - I of size 1e-14 is rounding against |M| = 1 on both routes
+        tt = brane(0, c=0.3, mono=[[math.exp(TWO_PI * 1.3) * (1.0 + 1e-14)]])
+        assert analytic_dims(tt) == discretized_dims(tt) == (1, 1)
+
+    def test_propagator_eigenvalue_near_its_defect_bound_refused(self):
+        # the propagator's log defect here is about -2.1e-6; an eigenvalue
+        # 1e-5 above the continuous one puts the discrete one a few bounds past 1
+        near = brane(0, c=0.3, mono=[[math.exp(TWO_PI * 0.3) * (1.0 + 1e-5)]])
+        with pytest.raises(NumericsError, match=r"L/r0: .* margin \|mu - 1\| / bound = [2-9]\."):
+            discretized_dims(near)
+        far = brane(0, c=0.3, mono=[[math.exp(TWO_PI * 0.3) * (1.0 + 1e-3)]])
+        assert discretized_dims(far) == (0, 0)
+
     def test_coarse_grid_rejected(self):
         with pytest.raises(ValidationError):
             discretized_dims(brane(1, c=0.0), h=0.02)

@@ -7,6 +7,7 @@ import pytest
 from conftest import make_graph, random_unitary
 from scipy.sparse import csr_matrix
 
+from torusmirror import derham
 from torusmirror.derham import DISCRETE_RANK_TOL, discretized_dims
 from torusmirror.errors import NumericsError
 from torusmirror.geometry import lift_components
@@ -101,3 +102,58 @@ def test_failed_certificate_names_component_and_margin():
     with pytest.raises(NumericsError, match=r"margin sigma_min/cutoff in \(") as err:
         discretized_dims(tt, rank_tol=0.5)
     assert label in str(err.value)
+
+
+def dense_block_band(comp, t_mono, lo, hi, hp, res):
+    """The Gram band built from one n x n block per grid node (batched
+    products and a skew of the block columns into band rows): the reference
+    that the scalar band with seam patches must reproduce."""
+    g = comp.parent
+    n = t_mono.shape[0]
+    n_nodes = int(round((hi - lo) / hp))
+    lattice = math.floor(lo / hp) + 1 + np.arange(n_nodes - 1)
+    ys = comp.height(lattice * hp)
+    left = -1.0 / hp + math.pi * ys
+    right = (1.0 / hp + math.pi * ys)[:, None, None]
+    eye = np.eye(n)
+    blocks = np.where((lattice % (g.q * res) == 0)[:, None, None], t_mono, eye) * left[:, None, None]
+    blocks_h = blocks.conj().transpose(0, 2, 1)
+    if g.p > 0:
+        diag, sub = blocks @ blocks_h + right**2 * eye, right[:-1] * blocks[1:]
+    else:
+        diag = np.zeros((n_nodes, n, n), dtype=complex)
+        diag[:-1] += blocks_h @ blocks
+        diag[1:] += right**2 * eye
+        diag[[0, -1]] += eye / (hp * hp)
+        sub = right * blocks
+    stacked = np.concatenate([diag, np.concatenate([sub, np.zeros_like(sub[:1])])], axis=1)
+    rows = np.arange(2 * n)[:, None] + np.arange(n)
+    band = np.where(rows < 2 * n, stacked[:, np.minimum(rows, 2 * n - 1), np.arange(n)], 0.0)
+    return band.transpose(1, 0, 2).reshape(2 * n, -1)
+
+
+@pytest.mark.parametrize("seam_row", ["first", "last", "inside"])
+@pytest.mark.parametrize(
+    "p,q,n",
+    [(1, 1, 1), (2, 3, 2), (-1, 1, 1), (-3, 2, 2)],
+)
+def test_scalar_band_with_seam_patches_matches_block_band(p, q, n, seam_row, rng):
+    res = 64
+    hp = 1.0 / res
+    graph = make_graph(p=p, q=q, c=0.3, wiggle=[(1, 0.05, -0.04)])
+    comp = lift_components(graph)[0]
+    # not unitary: T T^H and T^H T differ, so each side's seam patch is tested
+    mono = random_unitary(n, rng) @ np.diag(np.linspace(0.5, 2.0, n)) if n > 1 else np.array([[1.7 - 0.4j]])
+    period = q * res
+    nodes = 3 * period + 17
+    # the first lattice row is floor(lo / hp) + 1, the last one nodes - 2 further on
+    first = {"first": 5 * period, "last": 5 * period - (nodes - 2), "inside": 5 * period - 40}[seam_row]
+    lo = (first - 0.5) * hp
+    hi = lo + nodes * hp
+    lattice = math.floor(lo / hp) + 1 + np.arange(nodes - 1)
+    seams = np.flatnonzero(lattice % period == 0)
+    assert {"first": 0, "last": nodes - 2, "inside": 40}[seam_row] in seams
+    want = dense_block_band(comp, mono, lo, hi, hp, res)
+    got = derham._line_gram_band(comp, mono, lo, hi, hp, res)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

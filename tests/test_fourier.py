@@ -408,6 +408,47 @@ def test_dbar_residuals_match_one_point_calls_in_one_batch(monkeypatch):
     assert residual == max(dbar_residual(sec, pt, h) for pt in points)
 
 
+@pytest.mark.parametrize(
+    "tt",
+    [
+        TwistedTransport(make_graph(p=2, q=3, c=0.1, wiggle=[(1, 0.03, 0.02)]), LocalSystem([[0.0, 1.5], [1.0, 0.2]])),
+        TwistedTransport(make_graph(p=0, q=1, c=0.0, wiggle=[(1, 0.0, 0.5)]), trivial_system(1)),
+    ],
+    ids=["line_q3", "circle"],
+)
+def test_theta_batch_with_repeated_t_matches_one_point_calls(tt):
+    sec = standard_section(tt)
+    ts = np.array([0.35, 0.1, 0.35, 0.35, 0.8, 0.1, 0.35])
+    xs = np.array([0.2, 0.6, -0.4, 0.2, 0.9, 0.25, 0.6])
+    values, bounds = theta_eval_batch(sec, ts, xs)
+    for i, (t, x) in enumerate(zip(ts, xs)):
+        single = theta_eval(sec, MirrorPoint(t, x))
+        assert np.array_equal(single.values, values[i])
+        assert single.trunc_bound == bounds[i]
+
+
+def test_dbar_check_step_passes_each_distinct_t_once(monkeypatch):
+    from torusmirror.app import DBAR_SAMPLE_POINTS, dbar_check
+    from torusmirror.localsys import HorizontalSection
+
+    g = make_graph(p=2, q=3, c=0.1, wiggle=[(1, 0.03, 0.02)])
+    sec = standard_section(TwistedTransport(g, LocalSystem([[0.0, 1.5], [1.0, 0.2]])))
+    rows = []
+    flat_and_twist = HorizontalSection.flat_and_twist
+
+    def counted(self, t):
+        rows.append(np.shape(t)[:2])
+        return flat_and_twist(self, t)
+
+    monkeypatch.setattr(HorizontalSection, "flat_and_twist", counted)
+    _, h = dbar_check(sec, 1.0)
+    assert h == 1e-3  # one step
+    # 4 sample t values x 5 stencil offsets, out of 9 stencil points for each of 8 points
+    distinct_t = len({t for t, _ in DBAR_SAMPLE_POINTS}) * 5
+    assert 9 * len(DBAR_SAMPLE_POINTS) == 72 and distinct_t == 20
+    assert rows == [(distinct_t, g.q)] * len(sec.coefficients)
+
+
 def test_dbar_residuals_check_the_seam_margin_at_every_point():
     sec = standard_section(canonical_object())
     with pytest.raises(ValidationError, match="seam margin"):

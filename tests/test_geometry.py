@@ -14,6 +14,7 @@ from torusmirror.geometry import (
     CIRCLE,
     LINE,
     ROOT_TOL,
+    IntersectionPoint,
     LagrangianGraph,
     _refine_roots,
     _scan_interval,
@@ -143,6 +144,13 @@ def test_wiggle_arcs_and_areas(wiggle_scene):
     assert first.minus is second.minus  # both feed the single negative point
     assert first.area == pytest.approx(WIGGLE_AREA, abs=1e-11)
     assert second.area == pytest.approx(WIGGLE_AREA, abs=1e-11)  # symmetric scene
+
+
+def test_simple_arcs_refuses_equal_sign_neighbours(wiggle_scene):
+    (comp,) = lift_components(wiggle_scene)
+    pts = [IntersectionPoint(comp, -0.9, +1), IntersectionPoint(comp, -0.1, +1)]
+    with pytest.raises(ValidationError, match=r"t = -0\.9 and -0\.1 share sign \+1"):
+        simple_arcs(pts)
 
 
 def test_sin_hump_area():
