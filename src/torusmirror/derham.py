@@ -7,12 +7,14 @@ giving (n, 0) per line, and grows for p < 0, giving (0, n); a circle gives
 explicit integral solver is spot-checked on random right-hand sides.  The
 discretized route puts the covariant derivative on a midpoint grid per
 line, with the seam matrix where the lattice meets t in q*Z.  Its index is
-+-n by shape; one banded Cholesky factor certifies the singular-value
-margin of the full-rank side, which fixes kernel and cokernel.  Away from
-the seams the operator is a scalar times I, so the Gram band is two scalar
-diagonals with the few seam blocks patched in.  Circles reduce to the
-discrete loop propagator, whose eigenvalues count as 1 within its own
-defect bound.
++-n by shape; a block LDL^H factor of the full-rank side's Gram certifies
+the singular-value margin of that side, which fixes kernel and cokernel.
+Away from the seams the operator is a scalar times I, so the Gram is a
+real scalar tridiagonal with a few seam blocks: the factor runs LAPACK
+dpttrf on each stretch between seams, all n channels in one call, and an
+n x n eigh at each row a seam block enters.  Circles reduce to the
+discrete loop propagator P, whose fixed space counts the singular values
+of P - I within its own defect bound.
 
 classify_components cuts every component at its negative crossings, for
 the derham CLI's case table.  Case tags: case1 = closed circle (no
@@ -266,11 +268,24 @@ def analytic_dims(tt: TwistedTransport, rank_tol: float = RANK_TOL) -> tuple[int
 # -- discretized route --------------------------------------------------
 
 
-def _line_gram_band(
+@dataclass(frozen=True)
+class _LineGram:
+    """The full-rank side's Gram G of one line, block tridiagonal with n x n
+    blocks.  diag[i] and sub[i] are G[i, i] and G[i + 1, i] as scalars
+    times I; at each special row rows[k] the diagonal block is blocks[k]
+    and the coupling G[r, r - 1] is into[k] (zero at r = 0), in full."""
+
+    diag: np.ndarray
+    sub: np.ndarray
+    rows: np.ndarray
+    blocks: np.ndarray
+    into: np.ndarray
+
+
+def _line_tridiagonal(
     comp: LiftComponent, t_mono: np.ndarray, lo: float, hi: float, hp: float, res: int
-) -> np.ndarray:
-    """Lower band (bandwidth 2n-1) of the full-rank side's Gram of the
-    midpoint operator D = d/dt + 2*pi*Y~; band[k, j] holds G[j + k, j].
+) -> _LineGram:
+    """The full-rank side's Gram of the midpoint operator D = d/dt + 2*pi*Y~.
 
     Row i of D is left_i A_i on node i and right_i on node i+1.  Nodes sit
     at lattice midpoints, so each row's center is a lattice point: where it
@@ -278,74 +293,116 @@ def _line_gram_band(
     p > 0: no boundary rows, n fewer rows than columns, G = D D^H.  p < 0:
     decay rows at both truncations, n more rows than columns, G = D^H D.
 
-    Away from the seams G is a scalar times I in every block, so the band
-    is two scalar diagonals (rows 0 and n) written as 1-D arrays; only the
-    blocks that a seam row touches are then patched in full: the diagonal
-    block left^2 T T^H + right^2 I (p > 0) or left^2 T^H T plus the
-    neighbour's right^2 and any decay row (p < 0), and the off-diagonal
-    block right * left * T.  T need not be unitary."""
+    Away from the seams every block of G is a scalar times I.  p > 0: seam
+    row s has the diagonal left^2 T T^H + right^2 I and the coupling
+    right_{s-1} left_s T into it.  p < 0: seam row s has the diagonal
+    left^2 T^H T plus the neighbour's right^2 or the decay 1/hp^2, and
+    row s + 1 the coupling right_s left_s T into it.  T need not be
+    unitary.  For n = 1 the phase gauge x_i -> x_i * u_i with |u_i| = 1
+    turns every coupling e into |e|, so the seams fold into the scalar
+    arrays and no row is special.  Y~ is evaluated once per lattice phase
+    the window holds; Y~(t + q) = Y~(t) + p gives the rest."""
     g = comp.parent
     n = t_mono.shape[0]
     n_nodes = int(round((hi - lo) / hp))
-    lattice = math.floor(lo / hp) + 1 + np.arange(n_nodes - 1)
-    ys = comp.height(lattice * hp)
+    first = math.floor(lo / hp) + 1
+    count, period = n_nodes - 1, g.q * res
+    base = comp.height((first + np.arange(min(count, period))) * hp)
+    ys = (base + g.p * np.arange(-(-count // period))[:, None]).ravel()[:count]
     left = -1.0 / hp + math.pi * ys
     right = 1.0 / hp + math.pi * ys
-    seams = np.flatnonzero(lattice % (g.q * res) == 0)
+    seams = np.arange(-first % period, count, period)
     eye = np.eye(n)
-    blocks = left[seams, None, None] * t_mono
-    blocks_h = blocks.conj().transpose(0, 2, 1)
+    scaled = left[seams, None, None] * t_mono
+    scaled_h = scaled.conj().transpose(0, 2, 1)
+    before = np.where(seams > 0, right[seams - 1], 0.0)
     if g.p > 0:
         diag = left * left + right * right
         sub = right[:-1] * left[1:]
-        seam_diag = blocks @ blocks_h + (right[seams] ** 2)[:, None, None] * eye
-        # the seam row i is row i of D, so its off-diagonal block is G[i, i - 1]
-        keep = seams > 0
-        sub_cols, seam_sub = seams[keep] - 1, right[seams[keep] - 1, None, None] * blocks[keep]
+        rows = seams
+        blocks = scaled @ scaled_h + (right[seams] ** 2)[:, None, None] * eye
+        into = before[:, None, None] * scaled
     else:
         diag = np.zeros(n_nodes)
         diag[:-1] += left * left
         diag[1:] += right * right
         diag[[0, -1]] += 1.0 / (hp * hp)
         sub = right * left
-        seam_diag = blocks_h @ blocks
-        seam_diag += (np.where(seams > 0, right[seams - 1], 0.0) ** 2)[:, None, None] * eye
-        seam_diag += np.where(seams == 0, 1.0 / (hp * hp), 0.0)[:, None, None] * eye
-        sub_cols, seam_sub = seams, right[seams, None, None] * blocks
-
-    band = np.zeros((2 * n, len(diag) * n), dtype=complex)
-    band[0] = np.repeat(diag, n)
-    band[n, : len(sub) * n] = np.repeat(sub, n)
-    for a in range(n):
-        for k in range(n - a):
-            band[k, seams * n + a] = seam_diag[:, a + k, a]
-        for b in range(n):
-            band[n + b - a, sub_cols * n + a] = seam_sub[:, b, a]
-    return band
+        # the seam row, then the row that its coupling right_s left_s T enters
+        rows = np.stack([seams, seams + 1], axis=1).ravel()
+        seam_diag = scaled_h @ scaled + (np.where(seams > 0, before**2, 1.0 / (hp * hp)))[:, None, None] * eye
+        blocks = np.stack([seam_diag, diag[seams + 1, None, None] * eye], axis=1).reshape(-1, n, n)
+        scalar_into = np.where(seams > 0, sub[seams - 1], 0.0)[:, None, None] * eye
+        into = np.stack([scalar_into, right[seams, None, None] * scaled], axis=1).reshape(-1, n, n)
+    if n == 1:
+        diag[rows] = blocks[:, 0, 0].real
+        inner = rows > 0
+        sub[rows[inner] - 1] = np.abs(into[inner, 0, 0])
+        rows, blocks, into = rows[:0], blocks[:0], into[:0]
+    return _LineGram(diag, sub, rows, blocks, into)
 
 
-def _gershgorin_bound(band: np.ndarray) -> float:
-    """Largest absolute row sum of the Hermitian matrix stored in band."""
-    mag = np.abs(band)
-    rows = mag.sum(axis=0)
-    for k in range(1, len(mag)):
-        rows[k:] += mag[k, :-k]
-    return float(rows.max())
+def _row_sum_bound(gram: _LineGram) -> float:
+    """Gershgorin bound of G: its largest absolute row sum, one per row and
+    channel.  A row sums its diagonal block, its coupling G[i, i - 1] and
+    G[i, i + 1] = G[i + 1, i]^H, whose rows are columns of G[i + 1, i]; a
+    scalar block adds its one magnitude to every channel."""
+    n = gram.blocks.shape[1]
+    mag = np.abs(gram.sub)
+    own, before, after = np.empty((3, n, len(gram.diag)))
+    own[:] = np.abs(gram.diag)
+    before[:, 0], before[:, 1:] = 0.0, mag
+    after[:, :-1], after[:, -1] = mag, 0.0
+    r, into = gram.rows, np.abs(gram.into)
+    own[:, r] = np.abs(gram.blocks).sum(axis=2).T
+    before[:, r] = into.sum(axis=2).T
+    after[:, r[r > 0] - 1] = into[r > 0].sum(axis=1).T
+    return float((own + before + after).max())
 
 
-def _factors(band: np.ndarray, sigma: float) -> bool:
-    """Whether band - sigma^2 I has a Cholesky factor, i.e. every singular
-    value of the full-rank side exceeds sigma.  The factor is backward
-    stable, so rounding stays at O(eps * |G|), far below the cutoff^2."""
-    from scipy.linalg import cholesky_banded  # loaded on first use, off the load path
+def _factors(gram: _LineGram, sigma: float) -> bool:
+    """Whether G - sigma^2 I has a block LDL^H factor with positive
+    definite pivots, i.e. every singular value of the full-rank side
+    exceeds sigma.
 
-    shifted = band.copy(order="F")  # Fortran order, so LAPACK factors it in place
-    shifted[0] -= sigma * sigma
-    try:
-        cholesky_banded(shifted, overwrite_ab=True, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    The pivots are the Schur complements S_{i+1} = G_{i+1,i+1} - sigma^2 I
+    - E_i S_i^{-1} E_i^H, E_i = G[i + 1, i].  Between special rows every
+    block is a scalar times I, so S keeps the eigenbasis Q it had at the
+    last special row, and each of the n channels runs the scalar LDL^T
+    recurrence mu <- d - e^2 / mu: one dpttrf call on the segment's real
+    tridiagonal, the channels side by side with zero couplings between
+    them, each channel's first entry taking its e^2 / mu_j.  A special row
+    r forms S_r = G_rr - sigma^2 I - E Q diag(1/mu) Q^H E^H in full and
+    reads its eigenvalues and Q with eigh.  A non-positive or non-finite
+    pivot means no factor (dpttrf passes NaN pivots).  The factor is
+    backward stable, so rounding stays at O(eps * |G|), far below the
+    cutoff^2."""
+    from scipy.linalg.lapack import dpttrf, zheev  # loaded on first use, off the load path
+
+    n = gram.blocks.shape[1]
+    diag, sub = gram.diag - sigma * sigma, gram.sub
+    blocks = gram.blocks - sigma * sigma * np.eye(n)
+    basis, pivots = np.eye(n), np.full(n, np.inf)
+    start = 0
+    for stop, block, into in zip([*gram.rows, len(diag)], [*blocks, None], [*gram.into, None]):
+        if stop > start:
+            d = np.empty((n, stop - start))
+            d[:] = diag[start:stop]
+            if start:
+                d[:, 0] -= sub[start - 1] ** 2 / pivots
+            e = np.zeros((n, stop - start))
+            e[:, :-1] = sub[start : stop - 1]
+            d, _, info = dpttrf(d.ravel(), e.ravel()[:-1], overwrite_d=1, overwrite_e=1)
+            if info or not np.isfinite(d).all():
+                return False
+            pivots = d[stop - start - 1 :: stop - start]
+        if block is None:
+            return True
+        coupled = into @ basis
+        pivots, basis, info = zheev(block - (coupled / pivots) @ coupled.conj().T)
+        if info or not (np.isfinite(pivots).all() and pivots[0] > 0.0):
+            return False
+        start = stop + 1
 
 
 def _validate_window(comp: LiftComponent, lo: float, hi: float) -> None:
@@ -371,10 +428,10 @@ def _line_component_dims(
     vertex = -(g.c + comp.shift) * g.q / g.p
     lo, hi = vertex - big_t, vertex + big_t
     _validate_window(comp, lo, hi)
-    band = _line_gram_band(comp, t_mono, lo, hi, hp, res)
-    threshold = rank_tol * math.sqrt(_gershgorin_bound(band))
+    gram = _line_tridiagonal(comp, t_mono, lo, hi, hp, res)
+    threshold = rank_tol * math.sqrt(_row_sum_bound(gram))
     # halve the shift until a factor exists; that brackets sigma_min / threshold
-    k = next((k for k in range(_MARGIN_HALVINGS) if _factors(band, threshold * 2.0**-k)), _MARGIN_HALVINGS)
+    k = next((k for k in range(_MARGIN_HALVINGS) if _factors(gram, threshold * 2.0**-k)), _MARGIN_HALVINGS)
     if k:
         low = 2.0**-k if k < _MARGIN_HALVINGS else 0.0
         raise NumericsError(
@@ -386,28 +443,43 @@ def _line_component_dims(
 
 
 def _circle_propagator_dims(comp: LiftComponent, t_mono: np.ndarray, hp: float, res: int) -> tuple[int, int]:
+    """Kernel and cokernel of a circle's discrete loop operator: the fixed
+    space of its propagator P, counted by the singular values of P - I.
+
+    The loop's twisted monodromy is M = T mu with mu = exp(-2 pi * loop
+    integral of Y~), and P = T lambda_h with lambda_h the product of the
+    midpoint steps (1 - x)/(1 + x), x = pi h Y~, so P - M = (1 - mu/lambda_h) P.
+    Each step's log factor differs from -2x by at most 2|x|^3 / (3(1 - x^2)),
+    and the periodic midpoint sum of -2x is the exact loop integral for
+    every harmonic below the grid's Nyquist rate; with the rounding of the
+    terms and their sum this bounds |log(lambda_h / mu)| by log_defect, so
+    |P - M|_2 <= expm1(log_defect) |P|_2.  By Weyl's inequality every
+    singular value of P - I lies within |P - M|_2 of the matching one of
+    M - I: the k zero singular values of M - I (k = dim of its fixed
+    space) give k of P - I at or below bound = expm1(log_defect) |P|_2 plus
+    n eps (|P|_2 + 1) for the rounding of P - I and its SVD, and one above
+    the bound has a non-zero counterpart.  One in (bound,
+    PROPAGATOR_MARGIN * bound] is too close to call."""
     g = comp.parent
     steps = g.q * res
     mids = (np.arange(steps) + 1.0) * hp  # lattice points of one loop from node at hp/2
     x = hp * math.pi * comp.height(mids)
     terms = np.log1p(-x) - np.log1p(x)
     propagator = t_mono * math.exp(float(np.sum(terms)))  # exactly one seam per loop
-    # each step's log factor differs from -2x by at most 2|x|^3 / (3(1 - x^2)),
-    # and the periodic midpoint sum of -2x is the exact loop integral for every
-    # harmonic below the grid's Nyquist rate; then the rounding of the terms,
-    # their sum, and the eigenvalues
     eps = np.finfo(float).eps
     log_defect = float(np.sum(2.0 * np.abs(x) ** 3 / (3.0 * (1.0 - x * x))) + steps * eps * np.sum(np.abs(terms)))
-    bound = math.expm1(log_defect) + len(t_mono) * eps * float(np.linalg.norm(propagator))
-    distance = np.abs(np.linalg.eigvals(propagator) - 1.0)
-    near = distance[(distance > bound) & (distance <= PROPAGATOR_MARGIN * bound)]
+    norm = float(np.linalg.norm(propagator, 2))
+    bound = math.expm1(log_defect) * norm + len(t_mono) * eps * (norm + 1.0)
+    sv = np.linalg.svd(propagator - np.eye(len(t_mono)), compute_uv=False)
+    near = sv[(sv > bound) & (sv <= PROPAGATOR_MARGIN * bound)]
     if near.size:
         raise NumericsError(
-            f"component {comp.label}: a loop propagator eigenvalue lies {near.min():.3g} from 1, "
-            f"within {PROPAGATOR_MARGIN:g} times the defect bound {bound:.3g}; "
+            f"component {comp.label}: P - I for the loop propagator P has a singular value "
+            f"{near.min():.3g} (|mu - 1| for an eigenvalue mu at rank 1), within "
+            f"{PROPAGATOR_MARGIN:g} times the defect bound {bound:.3g}; "
             f"margin |mu - 1| / bound = {near.min() / bound:.3g}"
         )
-    k = int(np.sum(distance <= bound))
+    k = int(np.sum(sv <= bound))
     return k, k
 
 
@@ -422,14 +494,24 @@ def discretized_dims(
     Lines live on [vertex - big_t, vertex + big_t] with nodes at lattice
     midpoints, so every seam falls exactly between two nodes.  A line's
     index is n (p > 0, no boundary rows) or -n (p < 0, decay rows at both
-    truncations) by shape; one banded Cholesky factor certifies that the
-    full-rank side has no singular value at or below rank_tol times the
-    square root of its Gram's Gershgorin bound, else NumericsError names
-    the component and the margin.  Circles count eigenvalues of the
-    discrete loop propagator within the propagator's defect bound of 1.
+    truncations) by shape.  A block LDL^H factor of the full-rank side's
+    Gram, shifted by the cutoff^2, certifies that no singular value lies at
+    or below rank_tol times the square root of the Gram's Gershgorin bound,
+    else NumericsError names the component and the margin.  The Gram is a
+    real scalar tridiagonal except at the seams, so the factor is one
+    LAPACK dpttrf call per stretch between seams, all n channels at once,
+    and one n x n eigh per row that a seam block enters.  Circles count the singular values of
+    P - I for the discrete loop propagator P within its defect bound.
+    h must lie in (0, 1e-2], big_t be positive and rank_tol lie in (0, 1),
+    all finite, else ValidationError.
     """
-    if h > 1e-2:
-        raise ValidationError(f"grid step h = {h} too coarse; need h <= 1e-2")
+    # written so that NaN fails each check
+    if not 0.0 < h <= 1e-2:
+        raise ValidationError(f"grid step h = {h} must lie in (0, 1e-2]")
+    if not 0.0 < big_t < math.inf:
+        raise ValidationError(f"window half-width big_t = {big_t} must be positive and finite")
+    if not 0.0 < rank_tol < 1.0:
+        raise ValidationError(f"rank_tol = {rank_tol} must lie in (0, 1)")
     res = round(1.0 / h)
     hp = 1.0 / res
     t_mono = tt.system.monodromy

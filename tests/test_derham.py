@@ -296,6 +296,12 @@ class TestDiscretizedDims:
         tt = brane(0, c=0.3, mono=[[math.exp(TWO_PI * 1.3) * (1.0 + 1e-14)]])
         assert analytic_dims(tt) == discretized_dims(tt) == (1, 1)
 
+    def test_jordan_block_circle_counts_the_fixed_space(self):
+        # the twisted monodromy on shift 0 is the Jordan block [[1, 1], [0, 1]]:
+        # a one-dimensional fixed space inside a double eigenvalue 1
+        tt = brane(0, c=0.3, mono=math.exp(TWO_PI * 0.3) * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert analytic_dims(tt) == discretized_dims(tt) == (1, 1)
+
     def test_propagator_eigenvalue_near_its_defect_bound_refused(self):
         # the propagator's log defect here is about -2.1e-6; an eigenvalue
         # 1e-5 above the continuous one puts the discrete one a few bounds past 1

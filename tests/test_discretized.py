@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 from conftest import make_graph, random_unitary
+from scipy.linalg import cholesky_banded, eigvals_banded
 from scipy.sparse import csr_matrix
 
 from torusmirror import derham
 from torusmirror.derham import DISCRETE_RANK_TOL, discretized_dims
-from torusmirror.errors import NumericsError
+from torusmirror.errors import NumericsError, ValidationError
 from torusmirror.geometry import lift_components
 from torusmirror.localsys import LocalSystem, TwistedTransport, trivial_system
 
@@ -75,6 +76,8 @@ def svd_dims(tt, big_t, h, rank_tol=DISCRETE_RANK_TOL):
         (3, 1, 2, True),
         (-3, 2, 1, True),
         (-3, 1, 2, False),
+        (3, 1, 3, True),
+        (-3, 1, 3, False),
     ],
 )
 def test_certified_count_matches_dense_svd(p, q, n, unitary, rng):
@@ -105,9 +108,9 @@ def test_failed_certificate_names_component_and_margin():
 
 
 def dense_block_band(comp, t_mono, lo, hi, hp, res):
-    """The Gram band built from one n x n block per grid node (batched
-    products and a skew of the block columns into band rows): the reference
-    that the scalar band with seam patches must reproduce."""
+    """The lower Gram band (band[k, j] = G[j + k, j]) built from one n x n
+    block per grid node (batched products and a skew of the block columns
+    into band rows): the reference for the tridiagonal with seam blocks."""
     g = comp.parent
     n = t_mono.shape[0]
     n_nodes = int(round((hi - lo) / hp))
@@ -132,6 +135,25 @@ def dense_block_band(comp, t_mono, lo, hi, hp, res):
     return band.transpose(1, 0, 2).reshape(2 * n, -1)
 
 
+def band_row_sums(band):
+    """Absolute row sums of the Hermitian matrix stored in band."""
+    mag = np.abs(band)
+    rows = mag.sum(axis=0)
+    for k in range(1, len(mag)):
+        rows[k:] += mag[k, :-k]
+    return rows
+
+
+def band_factors(band, sigma):
+    shifted = band.copy()
+    shifted[0] -= sigma * sigma
+    try:
+        cholesky_banded(shifted, lower=True)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("seam_row", ["first", "last", "inside"])
 @pytest.mark.parametrize(
     "p,q,n",
@@ -142,7 +164,7 @@ def test_scalar_band_with_seam_patches_matches_block_band(p, q, n, seam_row, rng
     hp = 1.0 / res
     graph = make_graph(p=p, q=q, c=0.3, wiggle=[(1, 0.05, -0.04)])
     comp = lift_components(graph)[0]
-    # not unitary: T T^H and T^H T differ, so each side's seam patch is tested
+    # not unitary: T T^H and T^H T differ, so each side's seam blocks are tested
     mono = random_unitary(n, rng) @ np.diag(np.linspace(0.5, 2.0, n)) if n > 1 else np.array([[1.7 - 0.4j]])
     period = q * res
     nodes = 3 * period + 17
@@ -153,7 +175,58 @@ def test_scalar_band_with_seam_patches_matches_block_band(p, q, n, seam_row, rng
     lattice = math.floor(lo / hp) + 1 + np.arange(nodes - 1)
     seams = np.flatnonzero(lattice % period == 0)
     assert {"first": 0, "last": nodes - 2, "inside": 40}[seam_row] in seams
-    want = dense_block_band(comp, mono, lo, hi, hp, res)
-    got = derham._line_gram_band(comp, mono, lo, hi, hp, res)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    band = dense_block_band(comp, mono, lo, hi, hp, res)
+    gram = derham._line_tridiagonal(comp, mono, lo, hi, hp, res)
+    want = band_row_sums(band).max()
+    assert abs(derham._row_sum_bound(gram) - want) <= 1e-15 * want
+    # the factor exists just below the smallest singular value and not just above
+    flip = math.sqrt(eigvals_banded(band, lower=True, select="i", select_range=(0, 0))[0])
+    for scale, exists in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+        assert band_factors(band, scale * flip) is exists
+        assert derham._factors(gram, scale * flip) is exists
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_non_finite_pivot_is_no_factor(n, rng):
+    graph = make_graph(p=-1, q=1, c=0.3)
+    comp = lift_components(graph)[0]
+    mono = random_unitary(n, rng) @ np.diag(np.linspace(0.5, 2.0, n))
+    gram = derham._line_tridiagonal(comp, mono, -3.0, 3.0, 1.0 / 64, 64)
+    assert derham._factors(gram, 1e-3)
+    # dpttrf lets NaN pivots through without an error
+    assert not derham._factors(gram, math.nan)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"rank_tol": math.nan},
+        {"rank_tol": 0.0},
+        {"rank_tol": 1.0},
+        {"h": math.nan},
+        {"h": 0.0},
+        {"h": -1e-3},
+        {"big_t": math.nan},
+        {"big_t": math.inf},
+    ],
+)
+def test_non_finite_or_out_of_range_arguments_refused(kwargs):
+    tt = TwistedTransport(make_graph(p=1, q=1, c=0.3), trivial_system(1))
+    with pytest.raises(ValidationError):
+        discretized_dims(tt, **kwargs)
+
+
+def test_row_sum_bound_where_the_row_above_a_seam_is_largest():
+    # p > 0: the row above seam s meets G[s - 1, s] = G[s, s - 1]^H, so it
+    # sums a column of |T|; this T's first column outweighs every row sum
+    res = 64
+    hp = 1.0 / res
+    comp = lift_components(make_graph(p=1, q=1, c=0.3))[0]
+    mono = np.array([[0.5, 0.0], [0.6, 0.01]])
+    lo = (5 * res - 40.5) * hp
+    hi = lo + (3 * res + 17) * hp
+    band = dense_block_band(comp, mono, lo, hi, hp, res)
+    rows = band_row_sums(band)
+    assert int(np.argmax(rows)) == 2 * 39  # the first channel of the row above the seam at 40
+    want = rows.max()
+    assert abs(derham._row_sum_bound(derham._line_tridiagonal(comp, mono, lo, hi, hp, res)) - want) <= 1e-15 * want

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -289,6 +289,8 @@ AMPLITUDES = st.one_of(st.just(0.0), st.floats(1e-3, 0.5), st.floats(-0.5, -1e-3
     touch_maximum=st.booleans(),
     r=st.sampled_from([-2, -1, 1, 2]),
 )
+# a root 8e-9 below q on shift -3, which the scan snaps to 0.0
+@example(q=1, harmonics=[(2, 0.0, -0.5), (2, 0.0, -0.5)], log_eps=-7.0, touch_maximum=False, r=-2)
 def test_circle_crossings_match_trig_polynomial_roots(q, harmonics, log_eps, touch_maximum, r):
     # Offset the curve so that the lowest (or highest) point of its branch
     # Y + r crosses the zero section by eps: two transversal roots close
@@ -320,6 +322,11 @@ def test_circle_crossings_match_trig_polynomial_roots(q, harmonics, log_eps, tou
         want, _ = oracle[comp.shift]
         got = sorted(pt.t0 for pt in points)
         assert len(got) == len(want)
+        if got:
+            # pair cyclically: the scan's first root may be a root just below
+            # q that it snapped to 0.0, which sorts last in the oracle list
+            gaps = np.abs(got[0] - want)
+            want = np.roll(want, -int(np.argmin(np.minimum(gaps, q - gaps))))
         for a, b in zip(got, want):
             assert min(abs(a - b), q - abs(a - b)) <= 1e-8
 
