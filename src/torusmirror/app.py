@@ -22,7 +22,7 @@ import numpy as np
 
 from .derham import analytic_dims, discretized_dims
 from .errors import TorusMirrorError, ValidationError
-from .floer import boundary_transport_differential, build_complex, cohomology_dims, matrix_rank
+from .floer import boundary_transport_differential, build_complex, cohomology_dims
 from .fourier import MirrorPoint, ThetaSection, bundle_invariants, dbar_residuals, standard_section, theta_eval_batch
 from .geometry import Harmonic, LagrangianGraph
 from .localsys import LocalSystem, TwistedTransport
@@ -118,8 +118,8 @@ def _object_from_dict(raw: dict) -> TwistedTransport:
             # a wiggle term or local system without one of its fields, or a
             # string where a number belongs
             raise ValidationError(f"malformed entry ({type(err).__name__}: {err})") from err
-        if system.rank != rank:
-            raise ValidationError(f"object {oid}: declared rank {rank} but monodromy is {system.rank}x{system.rank}")
+        if isinstance(rank, bool) or system.rank != rank:
+            raise ValidationError(f"object {oid}: declared rank {rank!r} but monodromy is {system.rank}x{system.rank}")
         tt = TwistedTransport(graph, system)
         tt.geometry  # builds the crossing record: transversality and alternation, eagerly
     except TorusMirrorError as err:
@@ -132,6 +132,8 @@ def scene_from_dict(data: dict) -> Scene:
     if not isinstance(data, dict) or "objects" not in data:
         raise ValidationError("scene JSON must be an object with an 'objects' list")
     raw_params = data.get("params", {})
+    if not isinstance(raw_params, dict):
+        raise ValidationError(f"params: must be a JSON object, got {raw_params!r}")
     unknown = set(raw_params) - _PARAM_KEYS
     if unknown:
         raise ValidationError(f"params: unknown fields {sorted(unknown)}")
@@ -227,7 +229,7 @@ def _verify_object(tt: TwistedTransport, params: SceneParams) -> dict:
         fc = build_complex(tt)
         dims = cohomology_dims(fc, params.rank_tol)
         entry["floer_dims"] = list(dims)
-        entry["d_rank"] = matrix_rank(fc.d, params.rank_tol)
+        entry["d_rank"] = fc.dim_f0 - dims[0]
         other = boundary_transport_differential(tt)
         diff = float(np.max(np.abs(fc.d - other))) if fc.d.size else 0.0
         entry["d_route_max_diff"] = diff
@@ -325,14 +327,14 @@ def _py(y: float) -> float:
 
 def _curve_polylines(graph: LagrangianGraph, color: str) -> list[str]:
     ts = np.arange(512) / 512.0
-    ys = np.mod(graph.height(ts), 1.0)
-    pieces, current = [], []
-    for t, y in zip(ts, ys):
-        if current and abs(y - current[-1][1]) > 0.5:
-            pieces.append(current)
-            current = []
-        current.append((t, y))
-    if current:
+    pieces = []
+    for branch in range(graph.q):  # branch j is the part of the curve over t + j
+        current = []
+        for t, y in zip(ts, np.mod(graph.height(ts + branch), 1.0)):
+            if current and abs(y - current[-1][1]) > 0.5:
+                pieces.append(current)
+                current = []
+            current.append((t, y))
         pieces.append(current)
     out = []
     for piece in pieces:

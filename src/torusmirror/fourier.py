@@ -9,7 +9,8 @@ the fiber value v.  The holomorphic coordinate is z = xdual + i*t.
 theta_eval_batch is the one evaluation path: for the U distinct t values
 of P mirror points it lays out, per coefficient, the lattice lifts of
 every branch as one (U, q, lifts) array, takes the coefficient's flat
-transports and twists on all of it at once, picks each row's peak by one
+transports and twists on all of it at once (a sampled coefficient's
+function gets the whole array too), picks each row's peak by one
 argmax of the log magnitude, and gathers the 2K+1 window around it and
 its tail bound.  None of that depends on the dual coordinate, so only the
 kernel weight and the sum are computed per point.  theta_eval,
@@ -98,9 +99,6 @@ class _SectionCoefficient:
     def flat_and_twist(self, s) -> tuple[np.ndarray, np.ndarray]:
         return self.section.flat_and_twist(s)
 
-    def value(self, s) -> np.ndarray:
-        return self.section(s)
-
 
 class HorizontalCoefficient(_SectionCoefficient):
     """Rapidly-decreasing coefficient on a line component: the horizontal
@@ -143,31 +141,22 @@ class CircleCoefficient(_SectionCoefficient):
 
 
 class SampledCoefficient:
-    """Arbitrary coefficient given by a callable s -> n-vector on a line
-    component.  Decay is not certified analytically; the truncation bound is
-    estimated from the sampled tail."""
+    """Arbitrary coefficient on a line component, given by a function that
+    takes an array of s and returns the n-vectors there, shape s.shape + (n,).
+    Decay is not certified analytically; the truncation bound is estimated
+    from the sampled tail."""
 
-    def __init__(self, comp: LiftComponent, func: Callable[[float], np.ndarray], rank: int = 1):
+    def __init__(self, comp: LiftComponent, func: Callable[[np.ndarray], np.ndarray], rank: int = 1):
         if comp.kind != LINE:
             raise ValidationError("sampled coefficients are supported on line components")
         self.component = comp
         self.func = func
         self.rank = rank
-        self._cache: dict[float, np.ndarray] = {}
-
-    def value(self, s: float) -> np.ndarray:
-        cached = self._cache.get(s)
-        if cached is None:
-            cached = np.asarray(self.func(s), dtype=complex).reshape(self.rank)
-            self._cache[s] = cached
-        return cached
 
     def flat_and_twist(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """Values at an array of s (one func call per distinct s, through the
-        cache), with zero twist."""
+        """The values at the array s (one func call on all of it), with zero twist."""
         s = np.asarray(s, dtype=float)
-        table = np.array([self.value(u) for u in s.ravel().tolist()]).reshape(s.shape + (self.rank,))
-        return table, np.zeros(s.shape)
+        return np.asarray(self.func(s), dtype=complex).reshape(s.shape + (self.rank,)), np.zeros(s.shape)
 
     def tail_bound(self, lo_term, hi_term):
         # sampled data carries no analytic rate; assume at worst ratio 1/2
@@ -449,24 +438,24 @@ def convolve(obj1: TwistedTransport, obj2: TwistedTransport) -> list[TwistedTran
     return results
 
 
-def _lift_values(sec: ThetaSection, t_rep: float, ks: np.ndarray) -> np.ndarray:
+def _lift_values(sec: ThetaSection, t_rep: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Coefficient values at the lifts over t_rep with fiber indices ks
-    (q = 1), shape (len(ks), n).
+    (q = 1; the two arrays broadcast together), shape broadcast + (n,).
 
     For a p > 0 line the lifts over t_rep carry fiber values Y(t_rep) + k
-    with k = p*m + r; the unit-type circle carries only k = 0.
+    with k = p*m + r; the unit-type circle carries only k = 0.  Each
+    coefficient's section is evaluated once, on all the lifts it carries.
     """
     g = sec.parent.graph
+    t_rep, ks = np.broadcast_arrays(t_rep, ks)
     if g.p > 0:
-        shift = ks % g.p
-        m = (ks - shift) // g.p
+        shift, m = ks % g.p, ks // g.p
     else:
         shift, m = ks, np.zeros_like(ks)
-    out = np.zeros((ks.size, sec.parent.rank), dtype=complex)
+    out = np.zeros(ks.shape + (sec.parent.rank,), dtype=complex)
     for coeff in sec.coefficients:
         hit = shift == coeff.component.shift
-        if np.any(hit):
-            out[hit] = coeff.value(t_rep + m[hit])
+        out[hit] = coeff.section(t_rep[hit] + m[hit])
     return out
 
 
@@ -496,14 +485,12 @@ def tensor_compat_check(
     # peak (weight below exp(-pi*14^2/p)); outside, every product term is 0
     reach = 14
 
-    def convolved_coeff(comp: LiftComponent) -> Callable[[float], np.ndarray]:
-        r = comp.shift
-
-        def func(s: float) -> np.ndarray:
-            t_rep = s % 1.0
-            big_k = p12 * round(s - t_rep) + r
-            k1 = round(-obj1.graph.height(t_rep)) + np.arange(-reach, reach + 1)
-            return (_lift_values(sec1, t_rep, k1) * _lift_values(sec2, t_rep, big_k - k1)).sum(axis=0)
+    def convolved_coeff(comp: LiftComponent) -> Callable[[np.ndarray], np.ndarray]:
+        def func(s: np.ndarray) -> np.ndarray:
+            t_rep = (s % 1.0)[..., None]
+            big_k = p12 * np.rint(s[..., None] - t_rep) + comp.shift
+            k1 = np.rint(-obj1.graph.height(t_rep)) + np.arange(-reach, reach + 1)
+            return (_lift_values(sec1, t_rep, k1) * _lift_values(sec2, t_rep, big_k - k1)).sum(axis=-2)
 
         return func
 

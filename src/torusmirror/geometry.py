@@ -47,10 +47,10 @@ class Harmonic:
     b: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if isinstance(self.m, bool) or not isinstance(self.m, int) or self.m < 1:
             raise ValidationError(f"harmonic order must be a positive integer, got {self.m!r}")
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValidationError(f"harmonic m={self.m}: coefficients must be finite, got a={self.a!r}, b={self.b!r}")
+        if any(isinstance(x, bool) or not math.isfinite(x) for x in (self.a, self.b)):
+            raise ValidationError(f"harmonic m={self.m}: coefficients must be finite numbers, got a={self.a!r}, b={self.b!r}")
 
 
 def _as_harmonics(wiggle) -> tuple[Harmonic, ...]:
@@ -82,12 +82,12 @@ class LagrangianGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "wiggle", _as_harmonics(self.wiggle))
-        if not isinstance(self.q, int) or self.q < 1:
+        if isinstance(self.q, bool) or not isinstance(self.q, int) or self.q < 1:
             raise ValidationError(f"object {self.id!r}: cover degree q must be a positive integer")
-        if not isinstance(self.p, int):
+        if isinstance(self.p, bool) or not isinstance(self.p, int):
             raise ValidationError(f"object {self.id!r}: winding p must be an integer")
-        if not math.isfinite(self.c):
-            raise ValidationError(f"object {self.id!r}: offset c must be finite, got {self.c!r}")
+        if isinstance(self.c, bool) or not math.isfinite(self.c):
+            raise ValidationError(f"object {self.id!r}: offset c must be a finite number, got {self.c!r}")
         if self.p != 0 and math.gcd(self.p, self.q) != 1:
             raise ValidationError(
                 f"object {self.id!r}: gcd(p, q) = {math.gcd(self.p, self.q)} != 1 "

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import make_graph, random_unitary
+from conftest import make_graph, package_env, random_unitary
 
 from torusmirror.derham import analytic_dims, case_report, classify_components, discretized_dims
 from torusmirror.floer import boundary_transport_differential, build_complex, cohomology_dims, matrix_rank
@@ -225,6 +225,7 @@ def test_criterion_10_degeneracy_handling(tmp_path):
     path.write_text(json.dumps(scene))
     result = subprocess.run(
         [sys.executable, "-m", "torusmirror.cli", "verify", "--scene", str(path)],
+        env=package_env(),
         capture_output=True,
         text=True,
     )

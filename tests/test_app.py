@@ -2,19 +2,20 @@
 
 import json
 import math
-import os
+import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_unitary
+from conftest import package_env, random_unitary
 
 from torusmirror.app import (
     DBAR_SAMPLE_POINTS,
     DBAR_STEP,
     DBAR_STEP_MIN,
+    _MARGIN,
+    _SPAN,
     Scene,
     SceneParams,
     emit_csv,
@@ -322,20 +323,36 @@ class TestCli:
             ("rank_tol", 1.0),
             ("rank_tol", 2),
             ("K", True),
+            ("q", True),
+            ("p", True),
+            ("c", True),
+            ("m", True),
+            ("a", False),
+            ("b", True),
+            ("rank", True),
+            ("params", 5),
+            ("params", "K"),
+            ("params", []),
+            ("params", None),
         ],
     )
     def test_nonfinite_or_out_of_range_scene_numbers_exit_2(self, tmp_path, capsys, field, value):
         obj = object_dict(id="odd", c=0.5, wiggle=[(1, 0.0, 0.5)])
         params = {}
-        if field == "c":
-            obj["c"] = value
-        elif field in ("a", "b"):
+        if field in ("q", "p", "c"):
+            obj[field] = value
+        elif field in ("m", "a", "b"):
             obj["wiggle"][0][field] = value
         elif field == "monodromy":
             obj["local_system"]["monodromy"][0][0][0] = value
-        else:
+        elif field == "rank":
+            obj["local_system"]["rank"] = value
+        elif field != "params":
             params[field] = value
-        path = write_scene(tmp_path, scene_dict(obj, params=params))  # json writes NaN and Infinity literals
+        data = scene_dict(obj, params=params)
+        if field == "params":
+            data["params"] = value
+        path = write_scene(tmp_path, data)  # json writes NaN and Infinity literals
         assert main(["verify", "--scene", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -441,6 +458,22 @@ class TestPlot:
         scene = scene_from_dict(scene_dict(object_dict(id="steep", p=3, c=0.25)))
         svg = render_svg(scene, tmp_path / "s.svg")
         assert svg.count('class="marker') == 3
+
+    def test_every_branch_drawn_through_its_markers(self, tmp_path):
+        # q = 2: branch 0 runs from y = 0.1 to 0.6, and only branch 1 meets
+        # the axis, at t = 0.8
+        scene = scene_from_dict(scene_dict(object_dict(id="half", q=2, p=1, c=0.1)))
+        svg = render_svg(scene, tmp_path / "h.svg")
+        curves = []
+        for points in re.findall(r'<polyline [^>]*points="([^"]*)"', svg):
+            xy = np.array([pair.split(",") for pair in points.split()], dtype=float)
+            curves.append(((xy[:, 0] - _MARGIN) / _SPAN, 1 - (xy[:, 1] - _MARGIN) / _SPAN))  # back to (t, y)
+        markers = [(float(x) - _MARGIN) / _SPAN for x in re.findall(r'class="marker [a-z]+" x="([^"]*)"', svg)]
+        assert len(curves) == 3 and len(markers) == 1
+        for t in markers:
+            assert any(
+                np.any((np.abs(ts - t) <= 1 / 512) & (np.minimum(ys, 1 - ys) <= 1e-2)) for ts, ys in curves
+            ), f"no drawn curve meets the axis at the marker t = {t}"
 
     def test_empty_scene_axes_only(self, tmp_path):
         svg = render_svg(Scene(()), tmp_path / "e.svg")
@@ -548,8 +581,7 @@ def test_each_component_scanned_and_each_arc_integrated_once(tmp_path, monkeypat
 
 def test_cli_import_leaves_out_scipy_integrate(tmp_path):
     # a cold load path needs numpy only: scipy.linalg waits for the discretized count
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = package_env()
     path = write_scene(tmp_path, scene_dict(object_dict(id="wiggle", c=0.5, wiggle=[(1, 0.0, 0.5)])))
     code = (
         "import sys, torusmirror.cli; from torusmirror.app import load_scene; "

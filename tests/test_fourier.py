@@ -12,6 +12,7 @@ from torusmirror.fourier import (
     CircleCoefficient,
     HorizontalCoefficient,
     MirrorPoint,
+    SampledCoefficient,
     ThetaSection,
     bundle_invariants,
     convolve,
@@ -277,6 +278,39 @@ def test_tensor_compat_unit():
     d1 = tensor_compat_check(a, b, grid=(3, 3), K=25)
     d2 = tensor_compat_check(b, a, grid=(3, 3), K=25)
     assert abs(d1 - d2) <= 1e-12
+
+
+def test_sampled_coefficient_calls_its_function_once_on_the_whole_array():
+    comp = lift_components(make_graph(p=1, q=1, c=0.3))[0]
+    calls = []
+
+    def func(s):
+        calls.append(np.shape(s))
+        return np.stack((np.cos(s), 1j * np.sin(s)), axis=-1)
+
+    s = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+    want = np.stack((np.cos(s), 1j * np.sin(s)), axis=-1)
+    flat, twist = SampledCoefficient(comp, func, rank=2).flat_and_twist(s)
+    assert calls == [(3, 4)]
+    assert np.array_equal(flat, want)
+    assert np.array_equal(twist, np.zeros((3, 4)))
+
+
+def test_tensor_compat_builds_each_power_table_once_per_evaluation(monkeypatch):
+    import torusmirror.localsys as localsys
+
+    tables = []
+    power_table = localsys._power_table
+
+    def counted(*args):
+        tables.append(args[2:])
+        return power_table(*args)
+
+    monkeypatch.setattr(localsys, "_power_table", counted)
+    tensor_compat_check(canonical_object(), canonical_object(), grid=(10, 10), K=30)
+    # one table per factor's own section, then one per factor for each of
+    # the convolution's two line coefficients
+    assert len(tables) == 2 + 2 * 2
 
 
 def test_tensor_compat_unsupported_shapes():
