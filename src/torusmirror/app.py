@@ -124,7 +124,9 @@ def _object_from_dict(raw: dict) -> TwistedTransport:
         tt.geometry  # builds the crossing record: transversality and alternation, eagerly
     except TorusMirrorError as err:
         text = str(err)
-        raise type(err)(text if f"object {oid}" in text or text.startswith("component") else f"object {oid}: {text}") from err
+        # geometry names the object as object 'id', the rest as object id
+        named = f"object {oid}" in text or f"object {oid!r}" in text or text.startswith("component")
+        raise type(err)(text if named else f"object {oid}: {text}") from err
     return tt
 
 

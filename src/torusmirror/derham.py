@@ -144,32 +144,33 @@ def _circle_candidate_shifts(tt: TwistedTransport) -> list[int]:
 def _sweep(phi, g, xs: np.ndarray) -> np.ndarray:
     """J_i = integral from xs[0] to xs[i] of g(t) exp(phi(t) - phi(xs[i])) dt
     for monotone xs of either direction, by the 5-point Gauss rule on every
-    step.  The recurrence J_{i+1} = J_i e^{phi_i - phi_{i+1}} + I_i is one
-    cumulative sum per block, with every exponent taken relative to the
-    largest phi on the block's Gauss nodes; a block ends once phi has moved
-    _BLOCK_SPAN across it, so neither the terms nor the rescaling leave the
-    normal doubles."""
+    step, for every row of g at once.  The recurrence J_{i+1} = J_i
+    e^{phi_i - phi_{i+1}} + I_i is one cumulative sum per block, with every
+    exponent taken relative to the largest phi on the block's Gauss nodes;
+    a block ends once phi has moved _BLOCK_SPAN across it, so neither the
+    terms nor the rescaling leave the normal doubles.  The nodes, phi, the
+    blocks and the weights exp(phi - ref) are shared by all rows."""
     mid = 0.5 * (xs[1:] + xs[:-1])
     half = 0.5 * (xs[1:] - xs[:-1])
     nodes = mid[:, None] + half[:, None] * _GAUSS_X
     phi_nodes = phi(nodes)
     phi_xs = phi(xs)
     weighted = (half[:, None] * _GAUSS_W) * g(nodes)
-    out = np.zeros(len(xs), dtype=complex)
+    out = np.zeros(weighted.shape[:-2] + (len(xs),), dtype=complex)
     start = 0
     while start < len(xs) - 1:
         seg = phi_xs[start:]
         span = np.maximum.accumulate(seg) - np.minimum.accumulate(seg)
         stop = start + max(1, int(np.searchsorted(span, _BLOCK_SPAN, side="right")) - 1)
         ref = float(phi_nodes[start:stop].max())
-        terms = np.sum(weighted[start:stop] * np.exp(phi_nodes[start:stop] - ref), axis=1)
-        acc = out[start] * math.exp(phi_xs[start] - ref) + np.cumsum(terms)
-        out[start + 1 : stop + 1] = acc * np.exp(ref - phi_xs[start + 1 : stop + 1])
+        terms = np.sum(weighted[..., start:stop, :] * np.exp(phi_nodes[start:stop] - ref), axis=-1)
+        acc = out[..., start, None] * math.exp(phi_xs[start] - ref) + np.cumsum(terms, axis=-1)
+        out[..., start + 1 : stop + 1] = acc * np.exp(ref - phi_xs[start + 1 : stop + 1])
         start = stop
     return out
 
 
-def case3_solve(a: float, b: float, g, C: complex, xs: np.ndarray) -> tuple[np.ndarray, bool]:
+def case3_solve(a: float, b: float, g, C, xs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Solve f' + (a*t + b) f = g on the sample points xs.
 
     Implements f(x) = exp(-phi(x)) * (integral of g*exp(phi) + C') with
@@ -180,9 +181,15 @@ def case3_solve(a: float, b: float, g, C: complex, xs: np.ndarray) -> tuple[np.n
     the weight vertex -b/a for a > 0 and at the lower limit -inf for a < 0,
     where the grid is extended to the left until the weight has fallen by
     exp(-_TAIL_EXPONENT); C multiplies the peak-normalized homogeneous
-    solution exp(-a (x + b/a)^2 / 2).  Returns the samples and whether the
-    solution decays at the infinite end(s) of its regime (always for a > 0;
-    exactly when C = 0 for a < 0).
+    solution exp(-a (x + b/a)^2 / 2).
+
+    A batch of m right-hand sides is one call: g returns its values on the
+    nodes with a leading axis of length m, C is a scalar or a length-m
+    array, and the samples come back with shape (m, len(xs)); the nodes,
+    phi and the per-block weights are computed once for the batch.  A g
+    without that axis gives shape (len(xs),).  Returns the samples and
+    whether every solution decays at the infinite end(s) of its regime
+    (always for a > 0; exactly when C = 0 for a < 0).
     """
     if a == 0.0:
         raise UnsupportedError("a = 0 does not occur for p != 0 asymptotics")
@@ -194,28 +201,32 @@ def case3_solve(a: float, b: float, g, C: complex, xs: np.ndarray) -> tuple[np.n
     def phi(t):
         return 0.5 * a * t * t + b * t
 
-    j_vals = np.zeros(len(xs), dtype=complex)
     if a > 0:
         ia = int(np.argmin(np.abs(xs - vertex)))
-        j_vals[ia:] = _sweep(phi, g, xs[ia:])
-        j_vals[: ia + 1] = _sweep(phi, g, xs[ia::-1])[::-1]
+        # both sweeps start at 0 on xs[ia]
+        left = _sweep(phi, g, xs[ia::-1])[..., :0:-1]
+        j_vals = np.concatenate([left, _sweep(phi, g, xs[ia:])], axis=-1)
     else:
         # the weight exp(phi) falls off to the left of min(xs[0], vertex)
         h = xs[1] - xs[0]
         reach = min(xs[0], vertex) - math.sqrt(2.0 * _TAIL_EXPONENT / -a)
         n_ext = int(math.ceil((xs[0] - reach) / h))
         left = xs[0] - h * np.arange(n_ext, 0, -1)
-        j_vals = _sweep(phi, g, np.concatenate([left, xs]))[n_ext:]
+        j_vals = _sweep(phi, g, np.concatenate([left, xs]))[..., n_ext:]
 
-    if C != 0:
+    C = np.asarray(C)
+    homogeneous = bool(np.any(C != 0))
+    if homogeneous:
         u = xs - vertex
         exponent = -0.5 * a * u * u
         with np.errstate(over="ignore"):
-            j_vals = j_vals + C * np.exp(np.minimum(exponent, 709.0))
-    return j_vals, bool(a > 0 or C == 0)
+            j_vals = j_vals + C[..., None] * np.exp(np.minimum(exponent, 709.0))
+    return j_vals, bool(a > 0) or not homogeneous
 
 
 def _spot_check_case3(a: float, b: float, label: str, n_rhs: int, rng: np.random.Generator) -> None:
+    """Solve n_rhs random right-hand sides in one case3_solve call and check
+    each row's residual against SPOT_CHECK_TOL times its largest |f|."""
     vertex = -b / a
     half_width = 4.5 * max(1.0, math.sqrt(TWO_PI / abs(a)))
     # the stencil's own error grows with a; the step shrinks with it
@@ -223,21 +234,26 @@ def _spot_check_case3(a: float, b: float, label: str, n_rhs: int, rng: np.random
     xs = np.linspace(vertex - half_width, vertex + half_width, steps + 1)
     h = xs[1] - xs[0]
     interior = xs[2:-2]
-    for _ in range(n_rhs):
-        alpha, beta = rng.standard_normal(2)
-        center = vertex + rng.uniform(-1.0, 1.0)
+    # per right-hand side in turn: alpha, beta, its center, C
+    draws = np.array(
+        [(*rng.standard_normal(2), vertex + rng.uniform(-1.0, 1.0), rng.standard_normal()) for _ in range(n_rhs)]
+    )
+    alpha, beta, center, C = draws.T
 
-        def rhs(t):
-            return (alpha + beta * (t - center)) * np.exp(-2.0 * (t - center) ** 2)
+    def rhs(t):
+        # one row per right-hand side, ahead of t's axes
+        al, be, ce = (v.reshape((n_rhs,) + (1,) * t.ndim) for v in (alpha, beta, center))
+        u = t - ce
+        return (al + be * u) * np.exp(-2.0 * u**2)
 
-        f, _ = case3_solve(a, b, rhs, C=rng.standard_normal(), xs=xs)
-        df = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
-        residual = df + (a * interior + b) * f[2:-2] - rhs(interior)
-        scale = max(np.max(np.abs(f)), 1e-30)
-        rel = np.max(np.abs(residual)) / scale
-        # written so that a non-finite residual fails too
-        if not rel <= SPOT_CHECK_TOL:
-            raise NumericsError(f"component {label}: surjectivity spot check failed (residual {rel:.3g})")
+    f, _ = case3_solve(a, b, rhs, C=C, xs=xs)
+    df = (f[..., :-4] - 8 * f[..., 1:-3] + 8 * f[..., 3:-1] - f[..., 4:]) / (12 * h)
+    residual = df + (a * interior + b) * f[..., 2:-2] - rhs(interior)
+    scale = np.maximum(np.max(np.abs(f), axis=-1), 1e-30)
+    rel = np.max(np.abs(residual), axis=-1) / scale
+    # written so that a non-finite residual fails too
+    if not np.all(rel <= SPOT_CHECK_TOL):
+        raise NumericsError(f"component {label}: surjectivity spot check failed (residual {np.max(rel):.3g})")
 
 
 def analytic_dims(tt: TwistedTransport, rank_tol: float = RANK_TOL) -> tuple[int, int]:

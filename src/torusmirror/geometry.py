@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +72,12 @@ class LagrangianGraph:
     The lift function is Y(t) = (p/q)*t + c + W(t) with W a finite harmonic
     sum of period q.  Closedness Y(t+q) = Y(t) + p holds by construction and
     is asserted numerically on creation.
+
+    Construction builds the curve's harmonic table once: the frequencies
+    omega = 2*pi*m/q and, for W, W' and W'', the coefficient vectors of
+    cos(omega t) and sin(omega t).  Y and its derivatives and primitive take
+    one cos and one sin of the outer product omega x t and a vector-matrix
+    product per evaluation, whatever the number of harmonics.
     """
 
     id: str
@@ -79,6 +85,9 @@ class LagrangianGraph:
     p: int = 0
     c: float = 0.0
     wiggle: tuple[Harmonic, ...] = ()
+    _omega: np.ndarray = field(init=False, repr=False, compare=False)
+    #: _table[k] = (cos coefficients, sin coefficients) of the k-th derivative of W
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "wiggle", _as_harmonics(self.wiggle))
@@ -93,46 +102,53 @@ class LagrangianGraph:
                 f"object {self.id!r}: gcd(p, q) = {math.gcd(self.p, self.q)} != 1 "
                 f"(p={self.p}, q={self.q}); the curve would be disconnected"
             )
+        omega = np.array([TWO_PI * h.m / self.q for h in self.wiggle])
+        a = np.array([h.a for h in self.wiggle])
+        b = np.array([h.b for h in self.wiggle])
+        object.__setattr__(self, "_omega", omega)
+        table = np.array([[a, b], [omega * b, -omega * a], [-omega * omega * a, -omega * omega * b]])
+        object.__setattr__(self, "_table", table)
         for t in (0.1, 0.37, 1.7):
             if abs(self.height(t + self.q) - self.height(t) - self.p) > 1e-9:
                 raise ValidationError(f"object {self.id!r}: Y(t+q) != Y(t) + p")
 
     # -- pointwise data ------------------------------------------------
 
+    def _phases(self, t):
+        """t as an array, with cos and sin of omega*t: one row per harmonic,
+        one column per entry of t."""
+        t = np.asarray(t, dtype=float)
+        wt = np.multiply.outer(self._omega, t.ravel())
+        return t, np.cos(wt), np.sin(wt)
+
+    def _wiggle(self, t, order: int):
+        """t as an array, and the order-th derivative of W at t."""
+        t, cos, sin = self._phases(t)
+        on_cos, on_sin = self._table[order]
+        return t, (on_cos @ cos + on_sin @ sin).reshape(t.shape)
+
     def height(self, t):
         """Y(t), vectorized over numpy arrays."""
-        t = np.asarray(t, dtype=float)
-        y = (self.p / self.q) * t + self.c
-        for h in self.wiggle:
-            w = TWO_PI * h.m / self.q
-            y = y + h.a * np.cos(w * t) + h.b * np.sin(w * t)
+        t, w = self._wiggle(t, 0)
+        y = (self.p / self.q) * t + self.c + w
         return y if y.shape else float(y)
 
     def slope(self, t):
         """Y'(t)."""
-        t = np.asarray(t, dtype=float)
-        s = np.full_like(t, self.p / self.q)
-        for h in self.wiggle:
-            w = TWO_PI * h.m / self.q
-            s = s + w * (-h.a * np.sin(w * t) + h.b * np.cos(w * t))
+        _, w = self._wiggle(t, 1)
+        s = self.p / self.q + w
         return s if s.shape else float(s)
 
     def slope_derivative(self, t):
         """Y''(t)."""
-        t = np.asarray(t, dtype=float)
-        s = np.zeros_like(t)
-        for h in self.wiggle:
-            w = TWO_PI * h.m / self.q
-            s = s - w * w * (h.a * np.cos(w * t) + h.b * np.sin(w * t))
+        _, s = self._wiggle(t, 2)
         return s if s.shape else float(s)
 
     def height_primitive(self, t):
         """Exact antiderivative of Y with height_primitive(0) = 0."""
-        t = np.asarray(t, dtype=float)
-        g = 0.5 * (self.p / self.q) * t * t + self.c * t
-        for h in self.wiggle:
-            w = TWO_PI * h.m / self.q
-            g = g + (h.a * np.sin(w * t) + h.b * (1.0 - np.cos(w * t))) / w
+        t, cos, sin = self._phases(t)
+        a, b = self._table[0] / self._omega
+        g = 0.5 * (self.p / self.q) * t * t + self.c * t + (a @ sin + b @ (1.0 - cos)).reshape(t.shape)
         return g if g.shape else float(g)
 
     def wiggle_bound(self) -> float:

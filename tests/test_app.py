@@ -330,6 +330,7 @@ class TestCli:
             ("a", False),
             ("b", True),
             ("rank", True),
+            ("gcd", 2),
             ("params", 5),
             ("params", "K"),
             ("params", []),
@@ -341,6 +342,8 @@ class TestCli:
         params = {}
         if field in ("q", "p", "c"):
             obj[field] = value
+        elif field == "gcd":
+            obj["p"] = obj["q"] = value
         elif field in ("m", "a", "b"):
             obj["wiggle"][0][field] = value
         elif field == "monodromy":
@@ -356,6 +359,9 @@ class TestCli:
         assert main(["verify", "--scene", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        if field in ("q", "p", "c", "gcd"):
+            # the curve's own refusal names the object once
+            assert err.count("odd") == 1
 
     @pytest.mark.parametrize(
         "malform",

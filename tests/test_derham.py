@@ -205,6 +205,33 @@ class TestIntervalSolver:
                 got, _ = case3_solve(a, b, g, C, xs)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("with_c", [False, True])
+    def test_batch_rows_match_single_calls(self, sign, with_c):
+        rng = np.random.default_rng(5 + with_c)
+        a, b = sign * 3.0 * TWO_PI, rng.uniform(-5.0, 5.0)
+        vertex = -b / a
+        xs = np.linspace(vertex - 4.5, vertex + 4.5, 3841)
+        alpha, beta = rng.standard_normal((2, 3))
+        center = vertex + rng.uniform(-1.0, 1.0, 3)
+        C = rng.standard_normal(3) if with_c else np.zeros(3)
+
+        def row(k, t):
+            return (alpha[k] + beta[k] * (t - center[k])) * np.exp(-2.0 * (t - center[k]) ** 2)
+
+        batch, decays = case3_solve(a, b, lambda t: np.stack([row(k, t) for k in range(3)]), C, xs)
+        assert batch.shape == (3, len(xs))
+        assert decays == (sign > 0 or not with_c)
+        for k in range(3):
+            single, _ = case3_solve(a, b, lambda t: row(k, t), C[k], xs)
+            assert np.max(np.abs(batch[k] - single)) <= 1e-13 * np.max(np.abs(single))
+
+    def test_scalar_rhs_keeps_one_row(self):
+        xs = np.linspace(-4.0, 4.0, 801)
+        for a in (TWO_PI, -TWO_PI):
+            f, _ = case3_solve(a, 0.0, lambda t: 0.0, 1.0, xs)
+            assert f.shape == (len(xs),)
+
     def test_rejects_flat_asymptotics(self):
         with pytest.raises(UnsupportedError):
             case3_solve(0.0, 1.0, lambda t: 0.0, 1.0, np.linspace(0, 1, 10))
@@ -259,6 +286,30 @@ class TestAnalyticDims:
         assert analytic_dims(brane(1, c=0.5, wiggle=[(1, 0.0, 0.5)])) == (1, 0)
         assert analytic_dims(brane(-2, c=0.25)) == (0, 2)
         assert analytic_dims(brane(0, c=0.0, wiggle=[(1, 0.0, 0.5)])) == (1, 1)
+
+    def test_spot_check_is_one_solver_call(self, monkeypatch):
+        calls = []
+        real = derham.case3_solve
+
+        def counted(a, b, g, C, xs):
+            calls.append(np.shape(C))
+            return real(a, b, g, C, xs)
+
+        monkeypatch.setattr(derham, "case3_solve", counted)
+        assert analytic_dims(brane(2, c=0.3)) == (2, 0)
+        assert calls == [(4,)]
+
+    def test_spot_check_reads_every_row(self, monkeypatch):
+        real = derham.case3_solve
+
+        def last_row_off(a, b, g, C, xs):
+            f, decays = real(a, b, g, C, xs)
+            f[-1, len(xs) // 2] += 1e-4 * np.max(np.abs(f[-1]))
+            return f, decays
+
+        monkeypatch.setattr(derham, "case3_solve", last_row_off)
+        with pytest.raises(NumericsError, match="spot check failed"):
+            analytic_dims(brane(1, c=0.0))
 
     def test_non_finite_spot_check_fails(self, monkeypatch):
         def broken(a, b, g, C, xs):

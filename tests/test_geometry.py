@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -59,6 +60,53 @@ def test_height_primitive_is_exact():
         assert g.height_primitive(b) - g.height_primitive(a) == pytest.approx(val, abs=1e-11)
     # integral of the wiggle over a full period vanishes exactly
     assert g.height_primitive(g.q) == pytest.approx(g.p * g.q / 2 + g.c * g.q, abs=1e-14)
+
+
+def per_harmonic_reference(g, t):
+    """Y, Y', Y'' and the primitive by one loop per harmonic, each with the
+    sum of its terms' magnitudes, the scale of any reordered sum's rounding."""
+    t = np.asarray(t, dtype=float)
+    slope = g.p / g.q
+    values = [slope * t + g.c, np.full_like(t, slope), np.zeros_like(t), 0.5 * slope * t * t + g.c * t]
+    scales = [np.abs(v) for v in values]
+    for h in g.wiggle:
+        w = 2 * math.pi * h.m / g.q
+        cos, sin = np.cos(w * t), np.sin(w * t)
+        terms = [
+            (h.a * cos, h.b * sin),
+            (-w * h.a * sin, w * h.b * cos),
+            (-w * w * h.a * cos, -w * w * h.b * sin),
+            (h.a * sin / w, h.b * (1.0 - cos) / w),
+        ]
+        for k, (u, v) in enumerate(terms):
+            values[k] = values[k] + u + v
+            scales[k] = scales[k] + np.abs(u) + np.abs(v)
+    return values, scales
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.integers(1, 5),
+    p=st.integers(-6, 6),
+    c=st.floats(-2.0, 2.0),
+    harmonics=st.lists(st.tuples(st.integers(1, 30), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), max_size=6),
+    scalar=st.floats(-50.0, 50.0),
+    line=arrays(np.float64, st.integers(1, 40), elements=st.floats(-50.0, 50.0)),
+    block=arrays(np.float64, array_shapes(min_dims=3, max_dims=3, max_side=4), elements=st.floats(-50.0, 50.0)),
+)
+def test_harmonic_table_matches_per_harmonic_sums(q, p, c, harmonics, scalar, line, block):
+    assume(p == 0 or math.gcd(p, q) == 1)
+    g = make_graph(p=p, q=q, c=c, wiggle=harmonics)
+    methods = (g.height, g.slope, g.slope_derivative, g.height_primitive)
+    for t in (scalar, line, block):
+        values, scales = per_harmonic_reference(g, t)
+        for method, want, scale in zip(methods, values, scales):
+            got = method(t)
+            if np.ndim(t):
+                assert got.shape == np.shape(t)
+            else:
+                assert type(got) is float
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + scale))
 
 
 def test_line_components_single_winding():
