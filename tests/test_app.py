@@ -330,11 +330,11 @@ class TestCli:
             ("a", False),
             ("b", True),
             ("rank", True),
-            ("gcd", 2),
             ("params", 5),
             ("params", "K"),
             ("params", []),
             ("params", None),
+            ("gcd", 2),
         ],
     )
     def test_nonfinite_or_out_of_range_scene_numbers_exit_2(self, tmp_path, capsys, field, value):
