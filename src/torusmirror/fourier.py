@@ -10,14 +10,13 @@ theta_eval_batch is the one evaluation path: for the U distinct t values
 of P mirror points it lays out, per coefficient, the lattice lifts of
 every branch as one (U, q, lifts) array, takes the coefficient's flat
 transports and twists on all of it at once (a sampled coefficient's
-function gets the whole array too), picks each row's peak by one
-argmax of the log magnitude, and gathers the 2K+1 window around it and
-its tail bound.  None of that depends on the dual coordinate, so only the
-kernel weight and the sum are computed per point.  theta_eval,
+function gets the whole array too), and takes the tail bound.  The lifts
+form one fixed window: K + R shifts either side of the lift nearest the
+vertex of the quadratic weight, where R is the coefficient's peak_reach,
+a bound set when the coefficient is built on how far its largest lift can
+lie from that one.  None of that depends on the dual coordinate, so only
+the kernel weight and the sum are computed per point.  theta_eval,
 dbar_residuals, tensor_compat_check and app.sample_section call it.
-The scan reaches K + PEAK_SCAN_PAD shifts either side of the vertex of the
-quadratic weight; a peak on its edge raises NumericsError instead of
-summing a window that misses the true peak.
 
 dbar_residuals differences the nine values of a fourth-order stencil of
 step h around each of its points, all points' stencils evaluated as one
@@ -50,8 +49,6 @@ from .localsys import (
 
 TWO_PI = 2.0 * math.pi
 
-#: extra lattice shifts scanned around the nominal peak before truncating
-PEAK_SCAN_PAD = 9
 #: points evaluated together inside one batch; bounds the (points, q, lifts, n)
 #: arrays to a few MB
 BATCH_CHUNK = 1024
@@ -113,6 +110,14 @@ class HorizontalCoefficient(_SectionCoefficient):
         self.component = comp
         self.section = horizontal_section(system, comp, anchor_t, v)
         self.rank = system.rank
+        # Lifts of one branch point lie whole periods q apart, so the wiggle's
+        # primitive cancels between them and the log weight k shifts from the
+        # nominal peak is -pi*p*q*(k + delta)^2 + const with |delta| <= 1/2,
+        # while log|T^k v| moves by at most L = max(log|T|_2, log|T^-1|_2) per
+        # shift.  A lift beats its neighbour nearer the nominal peak only if
+        # |k| <= 1 + L / (2*pi*p*q).
+        big_l = max(math.log(np.linalg.norm(m, 2)) for m in (system.monodromy, np.linalg.inv(system.monodromy)))
+        self.peak_reach = 1 + math.floor(max(0.0, big_l) / (TWO_PI * comp.parent.p * comp.parent.q))
 
     def tail_bound(self, lo_term, hi_term):
         g = self.component.parent
@@ -143,8 +148,12 @@ class CircleCoefficient(_SectionCoefficient):
 class SampledCoefficient:
     """Arbitrary coefficient on a line component, given by a function that
     takes an array of s and returns the n-vectors there, shape s.shape + (n,).
-    Decay is not certified analytically; the truncation bound is estimated
-    from the sampled tail."""
+    Decay is not certified analytically: the truncation bound is estimated
+    from the sampled tail, and the largest lift is assumed to lie within
+    peak_reach = 1 lattice shift of the lift nearest the quadratic weight's
+    vertex."""
+
+    peak_reach = 1
 
     def __init__(self, comp: LiftComponent, func: Callable[[np.ndarray], np.ndarray], rank: int = 1):
         if comp.kind != LINE:
@@ -222,44 +231,34 @@ def _line_sums(
     once), against xdual (P,): the sums (P, q, n) and their truncation
     bounds (P, q).
 
-    Only the kernel weight exp(2*pi*i * xdual * v) depends on xdual; the
-    lifts, flat transports and twists, the peak scan, the window and its
-    fiber values, and the tail bound are computed once per distinct row.
-    The log magnitude is scanned over K + PEAK_SCAN_PAD lattice shifts on
-    either side of the nominal peak (the vertex of the quadratic weight);
-    the lifts are computed K + 1 further out, so the window and the two
-    tail terms of any peak inside the scan are in range.
+    The window is fixed: the K + coeff.peak_reach lattice shifts on either
+    side of the nominal peak m0 (the lift nearest the vertex of the
+    quadratic weight), summed in ascending |shift| order with the positive
+    side first, then one tail term on each side for the bound.  peak_reach
+    bounds how far from m0 the coefficient's largest lift can lie.  Only the
+    kernel weight exp(2*pi*i * xdual * v) depends on xdual; the lifts, flat
+    transports, twists and tail bound are computed once per distinct row.
+    Raises NumericsError when a sum is not finite (T^k v or the area weight
+    overflows).
     """
     comp = coeff.component
     g = comp.parent
-    reach = K + PEAK_SCAN_PAD
-    span = reach + K + 1
+    reach = K + coeff.peak_reach
+    shifts = [0] + [sign * d for d in range(1, reach + 1) for sign in (1, -1)] + [-(reach + 1), reach + 1]
     s_star = -(g.c + comp.shift) * g.q / g.p
     m0 = np.rint((s_star - t_branch) / g.q)
-    s = t_branch[..., None] + g.q * (m0[..., None] + np.arange(-span, span + 1))
-    flat, twist = coeff.flat_and_twist(s)
-
-    scan = slice(K + 1, K + 2 + 2 * reach)
-    peak = np.argmax(log_norm(flat[..., scan, :]) + twist[..., scan], axis=-1)
-    if np.any((peak == 0) | (peak == 2 * reach)):
+    s = t_branch[..., None] + g.q * (m0[..., None] + np.array(shifts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat, twist = coeff.flat_and_twist(s)
+        heights = comp.height(s[..., :-2])[where]
+        weight = np.exp(twist[..., :-2][where] + 2j * math.pi * xdual[:, None, None] * heights)
+        sums = (flat[..., :-2, :][where] * weight[..., None]).sum(axis=-2)
+        tail_norms = np.exp(log_norm(flat[..., -2:, :]) + twist[..., -2:])
+    if not np.all(np.isfinite(sums)):
         raise NumericsError(
-            f"component {comp.label}: the coefficient's peak lies on the edge of the "
-            f"lattice scan ({reach} shifts either side of the nominal peak); "
-            "the true peak may lie outside it"
+            f"component {comp.label}: the lattice sum over {2 * reach + 1} lifts is not finite "
+            "(T^k v or the area weight overflows)"
         )
-    center = peak[..., None] + (K + 1)
-
-    # ascending |shift| order, positive side first on ties
-    window = center + np.array([0] + [sign * d for d in range(1, K + 1) for sign in (1, -1)])
-    twists = np.take_along_axis(twist, window, axis=-1)[where]
-    heights = comp.height(np.take_along_axis(s, window, axis=-1))[where]
-    weight = np.exp(twists + 2j * math.pi * xdual[:, None, None] * heights)
-    sums = (np.take_along_axis(flat, window[..., None], axis=-2)[where] * weight[..., None]).sum(axis=-2)
-
-    tails = center + np.array([-(K + 1), K + 1])
-    tail_norms = np.exp(
-        log_norm(np.take_along_axis(flat, tails[..., None], axis=-2)) + np.take_along_axis(twist, tails, axis=-1)
-    )
     return sums, coeff.tail_bound(tail_norms[..., 0], tail_norms[..., 1])[where]
 
 
@@ -270,7 +269,7 @@ def theta_eval_batch(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarray]
     j = 0..q-1 (the lifts over t + j); and the truncation error bound of
     the lattice sums at each point, shape (P,).  Work that depends on t
     alone is done once per distinct t.  Raises NumericsError when a
-    coefficient's peak falls on the edge of its lattice scan.
+    coefficient's lattice sum is not finite.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     xs = np.asarray(xs, dtype=float).reshape(-1)

@@ -370,6 +370,28 @@ class TestDiscretizedDims:
         with pytest.raises(WindowError):
             discretized_dims(brane(1, c=0.0), big_t=1.0)
 
+    @pytest.mark.parametrize("p,q,c", [(2, 3, 0.3), (-3, 2, 0.1)])
+    def test_window_threshold_is_the_closed_form(self, p, q, c):
+        # without a wiggle the weight falls by pi*|p|*T^2/q at distance T from
+        # the vertex, so the narrowest valid half-width solves that = log(1e12)
+        needed = -math.log(1e-12)
+        comp = brane(p, q=q, c=c).geometry.components[-1]
+        vertex = -(c + comp.shift) * q / p
+        threshold = math.sqrt(needed * q / (math.pi * abs(p)))
+
+        def sweep_passes(lo, hi):  # the earlier check: the peak of a 512-point sweep
+            log_w = -math.copysign(TWO_PI, p) * comp.height_primitive(np.linspace(lo, hi, 512))
+            return bool(np.all(log_w.max() - log_w[[0, -1]] >= needed))
+
+        for scale, passes in ((1.001, True), (0.999, False)):
+            lo, hi = vertex - scale * threshold, vertex + scale * threshold
+            assert sweep_passes(lo, hi) == passes
+            if passes:
+                derham._validate_window(comp, lo, hi)
+            else:
+                with pytest.raises(WindowError, match=comp.label):
+                    derham._validate_window(comp, lo, hi)
+
     def test_coarser_valid_grid_same_answer(self, wiggle_scene):
         tt = TwistedTransport(wiggle_scene, trivial_system(1))
         assert discretized_dims(tt, h=1 / 256) == (1, 0)

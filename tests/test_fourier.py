@@ -1,9 +1,10 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import torusmirror.fourier as fourier
@@ -381,19 +382,50 @@ def test_theta_batch_matches_direct_lattice_sum(tt, K, points):
     assert single.trunc_bound == bounds[0]
 
 
-def test_theta_batch_refuses_a_peak_on_the_scan_edge():
+@st.composite
+def steep_objects(draw):
+    """Positive objects with a diagonal monodromy exp(2*pi*a), |a| <= 4."""
+    g = draw(positive_objects()).graph
+    a = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=2))
+    return TwistedTransport(g, LocalSystem(np.diag(np.exp(2 * math.pi * np.array(a)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tt=st.one_of(positive_objects(), steep_objects()), t=st.floats(0.0, 0.999))
+# a = 3.9 puts the peak 4 shifts from the nominal lift, peak_reach exactly
+@example(tt=TwistedTransport(make_graph(p=1, q=1), LocalSystem([[math.exp(2 * math.pi * 3.9)]])), t=0.0)
+def test_peak_reach_bounds_the_largest_lift(tt, t):
+    g = tt.graph
+    shifts = np.arange(-30, 31)
+    for coeff in standard_section(tt).coefficients:
+        s_star = -(g.c + coeff.component.shift) * g.q / g.p
+        for branch in t + np.arange(g.q):
+            nominal = np.rint((s_star - branch) / g.q)
+            # T^k v overflows far out on the growing side, where the weight
+            # has long won; those lifts read NaN and are skipped
+            with np.errstate(over="ignore", invalid="ignore"):
+                log_mag = coeff.section.log_magnitude(branch + g.q * (nominal + shifts))
+            assert abs(shifts[np.nanargmax(log_mag)]) <= coeff.peak_reach
+
+
+def test_theta_batch_refuses_an_overflowing_lattice_sum():
     # log|T^k| = 2*pi*a*k against the weight -pi*k^2 puts the peak a shifts
-    # from the nominal one; the scan reaches K + PEAK_SCAN_PAD = 10 shifts
+    # from the nominal one; peak_reach = 1 + floor(a) widens the window to it
     g = make_graph(p=1, q=1, id="steep")
     inside = TwistedTransport(g, LocalSystem([[math.exp(2 * math.pi * 8.6)]]))
-    assert np.all(np.isfinite(theta_eval(standard_section(inside, K=1), MirrorPoint(0.3, 0.2)).values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.all(np.isfinite(theta_eval(standard_section(inside, K=1), MirrorPoint(0.3, 0.2)).values))
 
     outside = TwistedTransport(g, LocalSystem([[math.exp(2 * math.pi * 15.0)]]))
-    # anchored past the peak, so no power T^k with k > 0 is needed (or overflows)
+    # anchored at 16, the lifts near the nominal peak at 0 carry T^-16 v, which
+    # underflows to 0, against an area weight that overflows: 0 * inf sums to NaN
     comp = outside.geometry.components[0]
     sec = ThetaSection(outside, (HorizontalCoefficient(outside.system, comp, 16.0, [1.0]),), K=1)
-    with pytest.raises(NumericsError, match="steep/r0"):
-        theta_eval(sec, MirrorPoint(0.3, 0.2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericsError, match="steep/r0"):
+            theta_eval(sec, MirrorPoint(0.3, 0.2))
 
 
 def test_dbar_residual_is_one_batch(monkeypatch):
@@ -471,7 +503,7 @@ def test_dbar_check_step_passes_each_distinct_t_once(monkeypatch):
     flat_and_twist = HorizontalSection.flat_and_twist
 
     def counted(self, t):
-        rows.append(np.shape(t)[:2])
+        rows.append(np.shape(t))
         return flat_and_twist(self, t)
 
     monkeypatch.setattr(HorizontalSection, "flat_and_twist", counted)
@@ -480,7 +512,10 @@ def test_dbar_check_step_passes_each_distinct_t_once(monkeypatch):
     # 4 sample t values x 5 stencil offsets, out of 9 stencil points for each of 8 points
     distinct_t = len({t for t, _ in DBAR_SAMPLE_POINTS}) * 5
     assert 9 * len(DBAR_SAMPLE_POINTS) == 72 and distinct_t == 20
-    assert rows == [(distinct_t, g.q)] * len(sec.coefficients)
+    # 2 (K + R + 1) + 1 = 55 lifts: K + R = 26 either side of the nominal peak
+    # and one tail term each
+    assert sec.K == 25 and {coeff.peak_reach for coeff in sec.coefficients} == {1}
+    assert rows == [(distinct_t, g.q, 55)] * len(sec.coefficients)
 
 
 def test_dbar_residuals_check_the_seam_margin_at_every_point():
