@@ -4,7 +4,7 @@ The analytic route reads each lift component's asymptotics, not the
 crossing record: a line's weight exp(-(a t^2/2 + b t)) decays for p > 0,
 giving (n, 0) per line, and grows for p < 0, giving (0, n); a circle gives
 (k, k) for an eigenvalue-1 block of size k of its twisted monodromy.  The
-explicit integral solver is spot-checked on random right-hand sides.  The
+explicit integral solver is spot-checked against exact solutions.  The
 discretized route puts the covariant derivative on a midpoint grid per
 line, with the seam matrix where the lattice meets t in q*Z.  Its index is
 +-n by shape; a block LDL^H factor of the full-rank side's Gram certifies
@@ -64,9 +64,7 @@ _BLOCK_SPAN = 600.0
 #: fallen by exp(-_TAIL_EXPONENT) from its largest value
 _TAIL_EXPONENT = 60.0
 
-#: spot-check grid steps per unit of |a| / 2*pi, and its relative residual
-#: tolerance against the largest |f|
-SPOT_CHECK_STEPS = 1280
+#: the spot check's largest error over a row's scale (see _spot_check_case3)
 SPOT_CHECK_TOL = 1e-6
 
 
@@ -224,44 +222,43 @@ def case3_solve(a: float, b: float, g, C, xs: np.ndarray) -> tuple[np.ndarray, b
     return j_vals, bool(a > 0) or not homogeneous
 
 
-def _spot_check_case3(a: float, b: float, label: str, n_rhs: int, rng: np.random.Generator) -> None:
-    """Solve n_rhs random right-hand sides in one case3_solve call and check
-    each row's residual against SPOT_CHECK_TOL times its largest |f|."""
+def _spot_check_case3(a: float, b: float, label: str) -> None:
+    """Solve four manufactured right-hand sides (a > 0) in one case3_solve
+    call and compare every sample with the exact output.
+
+    Each row draws alpha, beta, C and an offset uniformly in [-1, 1].  With
+    the vertex v = -b/a and f0 = (alpha + beta u) exp(-2 u^2), u = t - v -
+    offset, g = f0' + (a t + b) f0 has the exact output f0 + (C - f0(v))
+    exp(-a (x - v)^2 / 2), to be met within SPOT_CHECK_TOL times
+    max|f0| + |C - f0(v)|.  Steps: on v +- W, W = 4.5 max(1, sqrt(2 pi / a)),
+    F = g exp(phi(t) - phi(x)) varies at rate lam = a W + 5 (|phi'| <= a W;
+    the bump's tenth derivative is at most 4.7^10 times its size), so the
+    5-point Gauss remainder (5!)^4 h^11 F^(10) / (11 (10!)^3) is a relative
+    3.9e-13 (lam h)^10 e^(lam h / 2) of each step.  The sweep carries each
+    step's error with the solution, so a row errs by at most that times
+    (1 + TV(f0) / max|f0|) max|f0| <= 5 max|f0|.  2 ceil(W lam / 1.35) steps
+    give lam h <= 1.35 and a bound of 7.8e-11.
+    """
     vertex = -b / a
-    half_width = 4.5 * max(1.0, math.sqrt(TWO_PI / abs(a)))
-    # the stencil's own error grows with a; the step shrinks with it
-    steps = SPOT_CHECK_STEPS * math.ceil(abs(a) / TWO_PI)
+    half_width = 4.5 * max(1.0, math.sqrt(TWO_PI / a))
+    steps = 2 * math.ceil(half_width * (a * half_width + 5.0) / 1.35)
     xs = np.linspace(vertex - half_width, vertex + half_width, steps + 1)
-    h = xs[1] - xs[0]
-    interior = xs[2:-2]
-    # per right-hand side in turn: alpha, beta, its center, C
-    draws = np.array(
-        [(*rng.standard_normal(2), vertex + rng.uniform(-1.0, 1.0), rng.standard_normal()) for _ in range(n_rhs)]
-    )
-    alpha, beta, center, C = draws.T
+    alpha, beta, C, offset = np.random.default_rng(1728).uniform(-1.0, 1.0, (4, 4))
 
-    def rhs(t):
-        """(alpha + beta (t - center)) exp(-2 (t - center)^2), one row per
-        right-hand side ahead of t's axes.  Built in place: on the Gauss
-        nodes these rows are the solver's largest arrays."""
-        al, be, ce = (v.reshape((n_rhs,) + (1,) * t.ndim) for v in (alpha, beta, center))
+    def manufactured(t):
+        al, be, ce = (v.reshape((4,) + (1,) * np.ndim(t)) for v in (alpha, beta, vertex + offset))
         u = t - ce
-        w = u * u
-        w *= -2.0
-        np.exp(w, out=w)
-        u *= be
-        u += al
-        u *= w
-        return u
+        bell = np.exp(-2.0 * u * u)
+        f0 = (al + be * u) * bell
+        return f0, be * bell + (a * t + b - 4.0 * u) * f0
 
-    f, _ = case3_solve(a, b, rhs, C=C, xs=xs)
-    df = (f[..., :-4] - 8 * f[..., 1:-3] + 8 * f[..., 3:-1] - f[..., 4:]) / (12 * h)
-    residual = df + (a * interior + b) * f[..., 2:-2] - rhs(interior)
-    scale = np.maximum(np.max(np.abs(f), axis=-1), 1e-30)
-    rel = np.max(np.abs(residual), axis=-1) / scale
-    # written so that a non-finite residual fails too
-    if not np.all(rel <= SPOT_CHECK_TOL):
-        raise NumericsError(f"component {label}: surjectivity spot check failed (residual {np.max(rel):.3g})")
+    f, _ = case3_solve(a, b, lambda t: manufactured(t)[1], C=C, xs=xs)
+    f0, f0_vertex = manufactured(xs)[0], manufactured(vertex)[0]
+    exact = f0 + (C - f0_vertex)[:, None] * np.exp(-0.5 * a * (xs - vertex) ** 2)
+    err = np.max(np.abs(f - exact), axis=-1) / (np.max(np.abs(f0), axis=-1) + np.abs(C - f0_vertex))
+    # written so that a non-finite output fails too
+    if not np.all(err <= SPOT_CHECK_TOL):
+        raise NumericsError(f"component {label}: surjectivity spot check failed (error {np.max(err):.3g})")
 
 
 def analytic_dims(tt: TwistedTransport, rank_tol: float = RANK_TOL) -> tuple[int, int]:
@@ -269,8 +266,8 @@ def analytic_dims(tt: TwistedTransport, rank_tol: float = RANK_TOL) -> tuple[int
     neither the crossing record nor the intersection complex.
 
     p > 0: every horizontal section exp(-phi) v decays and case3_solve
-    solves every right-hand side, so (n*p, 0); the solver is spot-checked
-    on the shift-0 line's (a, b).  p < 0: no section decays and the
+    solves every right-hand side, so (n*p, 0); it is checked on exact
+    solutions at the shift-0 line's (a, b).  p < 0: no section decays; the
     obstruction g -> integral of g*exp(phi) has rank n, so (0, n*|p|).
     p = 0: (k, k), k summing the twisted monodromy's eigenvalue-1 block
     sizes over the circles the flat eigenvalue moduli single out.
@@ -285,7 +282,7 @@ def analytic_dims(tt: TwistedTransport, rank_tol: float = RANK_TOL) -> tuple[int
     if g.p < 0:
         return 0, n * -g.p
     label = LiftComponent(g, LINE, 0).label
-    _spot_check_case3(TWO_PI * g.p / g.q, TWO_PI * g.c, label, n_rhs=4, rng=np.random.default_rng(1728))
+    _spot_check_case3(TWO_PI * g.p / g.q, TWO_PI * g.c, label)
     return n * g.p, 0
 
 

@@ -315,7 +315,8 @@ def dbar_residuals(sec: ThetaSection, points, h: float = 1e-3) -> np.ndarray:
     dbar_z + pi * xdual * Y'(t + j), with dbar_z = (d/dxdual + i d/dt)/2;
     every lattice term is annihilated exactly, so the residual measures only
     discretization error.  A point's residual is the max over branches of
-    |residual| normalized by the largest section magnitude on its stencil.
+    |residual| normalized by the largest section magnitude on its stencil; a
+    section with coefficients that vanishes on a stencil raises NumericsError.
     The nine stencil points of every point are evaluated as one batch.
     """
     g = sec.parent.graph
@@ -341,6 +342,8 @@ def dbar_residuals(sec: ThetaSection, points, h: float = 1e-3) -> np.ndarray:
     residual = dbar + math.pi * x[..., None] * g.slope(t + np.arange(g.q))[..., None] * center
     worst = np.max(np.abs(residual), axis=(1, 2))
     flat = scale < 1e-300
+    if sec.coefficients and flat.any():
+        raise NumericsError(f"the section vanishes on the dbar stencil at {points[int(np.argmax(flat))]}")
     return np.where(flat, 0.0, worst / np.where(flat, 1.0, scale))
 
 

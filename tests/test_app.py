@@ -180,6 +180,40 @@ class TestRunVerify:
         assert report.passed, report.objects[0]["errors"]
         assert report.objects[0]["analytic_dims"] == [p, 0]
 
+    def test_shallow_line_on_a_wide_window_passes(self):
+        # p/q = 1/20 needs a window this wide for its weight to die off
+        scene = scene_from_dict(scene_dict(object_dict(id="shallow", p=1, q=20), params={"window": 15.0}))
+        report = run_verify(scene)
+        assert report.passed, report.objects[0]["errors"]
+        assert report.objects[0]["analytic_dims"] == report.objects[0]["discretized_dims"] == [1, 0]
+
+    def test_zero_mirror_transform_fails_every_line_object(self, monkeypatch):
+        import torusmirror.fourier as fourier
+
+        real = fourier._line_sums
+
+        def zeroed(*args):
+            sums, tails = real(*args)
+            return 0.0 * sums, tails
+
+        monkeypatch.setattr(fourier, "_line_sums", zeroed)
+        objects = [
+            O13,
+            object_dict(id="steep", p=4),
+            object_dict(id="cover", p=2, q=3, c=0.25),
+            object_dict(id="wiggle", c=0.5, wiggle=[(1, 0.0, 0.5)]),
+            object_dict(id="growing", p=-1, c=0.25),
+            object_dict(id="circle", p=0, c=0.3),
+        ]
+        report = run_verify(scene_from_dict(scene_dict(*objects))).to_dict()
+        json.dumps(report, allow_nan=False)
+        for entry in report["objects"]:
+            if entry["p"] > 0:
+                assert not entry["pass"]
+                assert any("vanishes on the dbar stencil" in err for err in entry["errors"]), entry["errors"]
+            else:
+                assert entry["pass"]
+
     def test_pipeline_error_marks_object_failed(self):
         # window far too small for the Gaussian weight to die off
         scene = scene_from_dict(scene_dict(object_dict(), params={"window": 2.0}))

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import make_graph, random_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from torusmirror import derham
@@ -272,11 +274,16 @@ class TestAnalyticDims:
         tt = brane(2, q=3, c=0.25, mono=random_unitary(2, rng))
         assert analytic_dims(tt) == (4, 0)
 
-    @pytest.mark.parametrize("p", [4, 6, 15, 30])
-    def test_steep_straight_lines(self, p):
-        # the spot-check grid refines with the slope, so its own stencil
-        # error stays below the tolerance
-        assert analytic_dims(brane(p, c=0.0)) == (p, 0)
+    @pytest.mark.parametrize(
+        "p, q",
+        [(4, 1), (6, 1), (15, 1), (30, 1), (1, 20), (1, 100), (1, 1000)],
+        ids=["4", "6", "15", "30", "1-20", "1-100", "1-1000"],
+    )
+    def test_steep_straight_lines(self, p, q):
+        # the spot check's step count grows with the slope and with the
+        # window a shallow line needs, so the solver's error stays within
+        # its tolerance at both ends
+        assert analytic_dims(brane(p, q=q, c=0.0)) == (p, 0)
 
     def test_reads_no_crossing_record(self, monkeypatch):
         def no_record(tt):
@@ -318,6 +325,32 @@ class TestAnalyticDims:
         monkeypatch.setattr(derham, "case3_solve", broken)
         with pytest.raises(NumericsError, match="spot check failed"):
             analytic_dims(brane(1, c=0.0))
+
+    @pytest.mark.parametrize("fault", ["drops_c", "adds_homogeneous"])
+    def test_spot_check_sees_solver_faults(self, monkeypatch, fault):
+        # both faults leave f' + (a t + b) f = g intact: only a comparison
+        # with the exact solution sees them
+        real = derham.case3_solve
+
+        def faulty(a, b, g, C, xs):
+            if fault == "drops_c":
+                return real(a, b, g, 0.0, xs)
+            f, decays = real(a, b, g, C, xs)
+            return f + 1e-3 * np.exp(-0.5 * a * (xs + b / a) ** 2), decays
+
+        monkeypatch.setattr(derham, "case3_solve", faulty)
+        with pytest.raises(NumericsError, match="spot check failed"):
+            analytic_dims(brane(1, c=0.3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_slope=st.floats(math.log(1e-3), math.log(60.0)), b=st.floats(-20.0, 20.0))
+    def test_step_rule_holds_its_derived_bound(self, log_slope, b):
+        # the step rule bounds the error by 7.8e-11 of each row's scale for
+        # every slope; the solver rounds phi(t) = a t^2/2 + b t at about
+        # eps b^2/a, below 2e-11 for these b
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(derham, "SPOT_CHECK_TOL", 1e-10)
+            derham._spot_check_case3(TWO_PI * math.exp(log_slope), b, "L:0")
 
 
 class TestDiscretizedDims:
