@@ -172,7 +172,9 @@ def case3_solve(a: float, b: float, g, C, xs: np.ndarray) -> tuple[np.ndarray, b
     """Solve f' + (a*t + b) f = g on the sample points xs.
 
     Implements f(x) = exp(-phi(x)) * (integral of g*exp(phi) + C') with
-    phi(t) = a t^2/2 + b t.  g must accept arrays: it is evaluated once on
+    phi(t) = a (t - v)^2 / 2 about the vertex v = -b/a: a t^2/2 + b t up to
+    a constant, which cancels, but without two terms that cancel each
+    other far from 0.  g must accept arrays: it is evaluated once on
     the Gauss nodes of every step, and the step recurrence runs as
     cumulative sums whose exponents are rescaled per block so no
     intermediate overflows (see _sweep).  The particular part anchors at
@@ -197,7 +199,7 @@ def case3_solve(a: float, b: float, g, C, xs: np.ndarray) -> tuple[np.ndarray, b
     vertex = -b / a
 
     def phi(t):
-        return 0.5 * a * t * t + b * t
+        return 0.5 * a * (t - vertex) ** 2
 
     if a > 0:
         ia = int(np.argmin(np.abs(xs - vertex)))

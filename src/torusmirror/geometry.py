@@ -11,6 +11,7 @@ that exp(2*pi*A) < 1 for an arc above the axis traversed positively.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,9 +31,13 @@ TRANSVERSALITY_TOL = 1e-6
 #: |Y| at a critical point below this value flags an even-order tangency
 TANGENCY_HEIGHT_TOL = 1e-9
 
-#: Gauss-Legendre rules for arc areas: the area comes from the second, the
-#: gap to the first estimates its error
+#: Gauss-Legendre rules for arc areas, 12 and 20 nodes, evaluated on one
+#: node set: row 1 of the weights gives the area, its gap to row 0
+#: estimates the error
 _AREA_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (12, 20))
+_AREA_NODES = np.concatenate([x for x, _ in _AREA_RULES])
+_AREA_WEIGHTS = np.zeros((2, len(_AREA_NODES)))
+_AREA_WEIGHTS[0, :12], _AREA_WEIGHTS[1, 12:] = (w for _, w in _AREA_RULES)
 #: largest harmonic phase omega*width/2 over one area panel; 12 nodes
 #: integrate cos at this phase to rounding
 _AREA_PANEL_PHASE = 4.0
@@ -108,9 +113,9 @@ class LagrangianGraph:
         object.__setattr__(self, "_omega", omega)
         table = np.array([[a, b], [omega * b, -omega * a], [-omega * omega * a, -omega * omega * b]])
         object.__setattr__(self, "_table", table)
-        for t in (0.1, 0.37, 1.7):
-            if abs(self.height(t + self.q) - self.height(t) - self.p) > 1e-9:
-                raise ValidationError(f"object {self.id!r}: Y(t+q) != Y(t) + p")
+        ts = np.array([0.1, 0.37, 1.7])
+        if np.any(np.abs(self.height(ts + self.q) - self.height(ts) - self.p) > 1e-9):
+            raise ValidationError(f"object {self.id!r}: Y(t+q) != Y(t) + p")
 
     # -- pointwise data ------------------------------------------------
 
@@ -248,10 +253,6 @@ def lift_components(graph: LagrangianGraph, window: float | None = None) -> list
     return [LiftComponent(graph, CIRCLE, r) for r in range(lo, hi + 1)]
 
 
-def _scan_step(graph: LagrangianGraph) -> float:
-    return min(0.01, graph.q / (64.0 * (1 + graph.harmonic_order_sum())))
-
-
 def _scan_interval(comp: LiftComponent) -> tuple[float, float]:
     g = comp.parent
     if comp.kind == CIRCLE:
@@ -298,24 +299,61 @@ def _refine_roots(f, fprime, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return x
 
 
+def _critical_points(graph: LagrangianGraph, lo: float, hi: float) -> np.ndarray:
+    """Sorted knots that include every critical point of Y: in [0, q) on a
+    circle, tiled by q over (lo, hi) on a line.
+
+    Y' has period q, so with z = exp(2 pi i t / q) it is the Laurent
+    polynomial sum of c_m z^m over |m| <= M: c_0 = p/q, c_m = (A_m - i B_m)/2
+    and c_-m = conj(c_m), with A and B the cos and sin coefficients of W'.
+    Its zeros are the unit-circle roots of z^M Y', found as the eigenvalues
+    of the companion matrix (np.roots), which is backward stable.  The
+    coefficients are scaled by a power of two, so a subnormal wiggle does
+    not overflow the companion matrix, and top harmonics below rounding are
+    dropped, so a negligible leading term does not scatter the other roots.
+    Every root's angle is a knot, with no band around |z| = 1: rounding
+    pushes a multiple zero off the circle, and an extra knot only splits a
+    monotone piece, where a missing one could hide a pair of crossings.
+    """
+    q = graph.q
+    on_cos, on_sin = graph._table[1].tolist()
+    scale = -math.frexp(max(map(abs, [graph.p / q, *on_cos, *on_sin])))[1]
+    coeffs = [complex(math.ldexp(graph.p / q, scale))] + [0j] * max((h.m for h in graph.wiggle), default=0)
+    for h, a, b in zip(graph.wiggle, on_cos, on_sin):
+        coeffs[h.m] += complex(math.ldexp(a, scale), -math.ldexp(b, scale)) / 2
+    cutoff = sys.float_info.epsilon * max(map(abs, coeffs))
+    while len(coeffs) > 1 and abs(coeffs[-1]) <= cutoff:
+        coeffs.pop()
+    if len(coeffs) == 1:
+        return np.empty(0)
+    z = np.roots(coeffs[::-1] + [c.conjugate() for c in coeffs[1:]])
+    t = np.angle(z) * (q / TWO_PI) % q
+    t = np.sort(np.where(t < q, t, 0.0))  # an angle just below 0 can round up to q
+    if graph.p == 0:
+        return t
+    tiles = q * np.arange(math.floor(lo / q), math.floor(hi / q) + 1)
+    knots = np.add.outer(tiles, t).ravel()
+    return knots[(lo < knots) & (knots < hi)]
+
+
 def _crossing_scan(graph: LagrangianGraph, comps) -> list[list[IntersectionPoint]]:
     """The crossings of the given lift components of graph, per component
     sorted by t and classified by the sign of Y' there.
 
     The components differ only by their shift, so they share Y' and its
-    critical points: one sweep refines the critical points that a slope scan
-    over the union of the scan intervals finds.  Between consecutive knots
+    critical points, which _critical_points finds once as companion-matrix
+    roots over the union of the scan intervals.  Between consecutive knots
     (the range ends and the critical points, cyclic on circles) Y is
     monotone, so a piece holds one root of Y + shift if Y + shift changes
-    sign across it and none otherwise.  A second sweep refines the roots of
-    all shifts at once.  Both sweeps run safeguarded Newton (_refine_roots),
-    which averages 3-6 evaluations each of f and f' per sweep on the
-    benchmark scenes.
+    sign across it and none otherwise.  One safeguarded Newton sweep
+    (_refine_roots) refines the roots of all shifts at once.
 
     Raises TransversalityError when a root is tangential: either |Y'| at a
-    located root is at most TRANSVERSALITY_TOL, or a critical point of a
-    branch sits on the zero section (an even-order touch that bracketing
-    alone would miss).
+    located root is at most TRANSVERSALITY_TOL, or a branch sits on the
+    zero section at a knot where |Y'| is at most TRANSVERSALITY_TOL (an
+    even-order touch that bracketing alone would miss).  Raises
+    NumericsError if two consecutive crossings share a sign, which only a
+    missed knot can cause.
     """
     shifts = np.array([comp.shift for comp in comps], dtype=float)
     q, circle = graph.q, graph.p == 0
@@ -326,11 +364,7 @@ def _crossing_scan(graph: LagrangianGraph, comps) -> list[list[IntersectionPoint
     fp = (lambda t: graph.slope(t % q)) if circle else graph.slope
     lo = min(_scan_interval(comp)[0] for comp in comps)
     hi = max(_scan_interval(comp)[1] for comp in comps)
-    n = max(8, int(math.ceil((hi - lo) / _scan_step(graph))))
-    ts = np.linspace(lo, hi, n + 1)
-    falling = fp(ts) < 0
-    turn = np.flatnonzero(falling[:-1] != falling[1:])
-    tcs = np.sort(_refine_roots(fp, graph.slope_derivative, ts[turn], ts[turn + 1]))
+    tcs = _critical_points(graph, lo, hi)
 
     if circle:
         if not len(tcs):
@@ -340,13 +374,15 @@ def _crossing_scan(graph: LagrangianGraph, comps) -> list[list[IntersectionPoint
         knots = np.concatenate([[lo], tcs, [hi]])
     vals = f(knots)[None, :] + shifts[:, None]
     critical = vals[:, :-1] if circle else vals[:, 1:-1]
-    touching = np.argwhere(np.abs(critical) <= TANGENCY_HEIGHT_TOL)
-    if len(touching):
-        k, i = touching[0]
-        raise TransversalityError(
-            f"component {comps[k].label}: tangential contact with the zero "
-            f"section near t = {tcs[i]:.6g}"
-        )
+    # a knot that is no critical point (|Y'| above the tolerance) may sit on
+    # the zero section: that is a crossing, which the root sweep checks
+    for k, i in np.argwhere(np.abs(critical) <= TANGENCY_HEIGHT_TOL).tolist():
+        flat = abs(fp(tcs[i]))
+        if flat <= TRANSVERSALITY_TOL:
+            raise TransversalityError(
+                f"component {comps[k].label}: tangential contact with the zero "
+                f"section near t = {tcs[i]:.6g}, where |Y'| = {flat:.3g}"
+            )
 
     below = vals < 0
     owner, piece = np.nonzero(below[:, :-1] != below[:, 1:])
@@ -377,8 +413,8 @@ def _crossing_scan(graph: LagrangianGraph, comps) -> list[list[IntersectionPoint
             if prev.sign == cur.sign:
                 raise NumericsError(
                     f"component {prev.component.label}: consecutive crossings at "
-                    f"t = {prev.t0:.6g}, {cur.t0:.6g} have equal sign; root scan "
-                    "missed a crossing (reduce the scan step)"
+                    f"t = {prev.t0:.6g}, {cur.t0:.6g} have equal sign; the scan "
+                    "missed a critical point"
                 )
     return crossings
 
@@ -394,33 +430,47 @@ def signed_crossing_count(graph: LagrangianGraph) -> int:
     return sum(pt.sign for points in _crossing_scan(graph, lift_components(graph)) for pt in points)
 
 
-def _signed_area(comp: LiftComponent, t_from: float, t_to: float) -> float:
-    """-integral of the branch height from t_from to t_to (signed).
+def _signed_area(comp: LiftComponent, t_from, t_to):
+    """-integral of the branch height from t_from to t_to (signed), for a
+    scalar pair of ends (a float) or for arrays of ends (an array).
 
     Composite Gauss-Legendre: the height is linear plus harmonics of
     frequency at most omega, so panels of phase omega*width/2 <= _AREA_PANEL_PHASE
-    converge spectrally; the gap between the two rules estimates the error."""
+    converge spectrally.  One height call takes the nodes of both rules on
+    every panel of every pair; the gap between the rules estimates each
+    integral's error, and one warning reports the worst gap."""
     g = comp.parent
+    t_from, t_to = np.asarray(t_from, dtype=float), np.asarray(t_to, dtype=float)
+    shape, t_from, t_to = t_from.shape, t_from.ravel(), t_to.ravel()
     omega = TWO_PI * max((h.m for h in g.wiggle), default=0) / g.q
-    panels = max(1, math.ceil(omega * abs(t_to - t_from) / (2.0 * _AREA_PANEL_PHASE)))
-    edges = np.linspace(t_from, t_to, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    low, high = (float(np.sum(half * w * comp.height(mid + half * x))) for x, w in _AREA_RULES)
-    err = abs(high - low)
+    panels = np.maximum(1, np.ceil(omega * np.abs(t_to - t_from) / (2.0 * _AREA_PANEL_PHASE))).astype(int)
+    # one row per panel; panel j of pair i has midpoint t_from + (2j + 1) half
+    first = np.cumsum(panels) - panels
+    pair = np.repeat(np.arange(len(panels)), panels)
+    half = (0.5 * (t_to - t_from) / panels)[pair]
+    mid = t_from[pair] + (2 * (np.arange(len(pair)) - first[pair]) + 1) * half
+    values = comp.height(mid[:, None] + half[:, None] * _AREA_NODES)
+    # a matrix-vector product per rule: one matrix-matrix product added
+    # about 0.3 MB of BLAS buffers to peak memory
+    low, high = (np.add.reduceat(half * (values @ w), first) for w in _AREA_WEIGHTS)
+    err = float(np.max(np.abs(high - low)))
     if err > 1e-9:
         warnings.warn(f"area quadrature on {comp.label} reported error {err:.2g}")
-    return -high
+    return float(-high[0]) if not shape else -high.reshape(shape)
 
 
-def _make_arc(plus: IntersectionPoint, minus: IntersectionPoint, t_plus: float, t_minus: float) -> SimpleArc:
+def _make_arc(
+    plus: IntersectionPoint, minus: IntersectionPoint, t_plus: float, t_minus: float, area: float | None = None
+) -> SimpleArc:
     direction = +1 if t_minus > t_plus else -1
-    area = _signed_area(plus.component, t_plus, t_minus)
+    if area is None:
+        area = _signed_area(plus.component, t_plus, t_minus)
     return SimpleArc(plus, minus, t_plus, t_minus, direction, area)
 
 
 def simple_arcs(points: list[IntersectionPoint]) -> list[SimpleArc]:
-    """Arcs between adjacent (positive, negative) crossing pairs.
+    """Arcs between adjacent (positive, negative) crossing pairs, their
+    areas integrated in one _signed_area call.
 
     points must all lie on one component and be sorted by t.  On circles the
     wrap-around pair (last point, first point + q) is included, so a circle
@@ -436,7 +486,7 @@ def simple_arcs(points: list[IntersectionPoint]) -> list[SimpleArc]:
     if comp.kind == CIRCLE and len(points) >= 2:
         pairs.append((points[-1], points[0], points[0].t0 + comp.parent.q))
 
-    arcs = []
+    ends = []  # (plus, minus, t_plus, t_minus) per arc
     for left, right, t_right in pairs:
         if left.sign == right.sign:
             # the crossings of a continuous branch alternate in sign
@@ -444,11 +494,11 @@ def simple_arcs(points: list[IntersectionPoint]) -> list[SimpleArc]:
                 f"component {comp.label}: adjacent crossings at t = {left.t0:.6g} and "
                 f"{right.t0:.6g} share sign {left.sign:+d}"
             )
-        if left.is_positive:
-            arcs.append(_make_arc(left, right, left.t0, t_right))
-        else:
-            arcs.append(_make_arc(right, left, t_right, left.t0))
-    return arcs
+        ends.append((left, right, left.t0, t_right) if left.is_positive else (right, left, t_right, left.t0))
+    if not ends:
+        return []
+    areas = _signed_area(comp, [e[2] for e in ends], [e[3] for e in ends])
+    return [_make_arc(*e, area) for e, area in zip(ends, areas.tolist())]
 
 
 @dataclass(frozen=True)

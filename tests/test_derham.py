@@ -285,6 +285,13 @@ class TestAnalyticDims:
         # its tolerance at both ends
         assert analytic_dims(brane(p, q=q, c=0.0)) == (p, 0)
 
+    @pytest.mark.parametrize("c", [3000.3, 30000.3])
+    def test_spot_check_with_the_vertex_far_from_zero(self, c):
+        # the weight's vertex -b/a = -c q/p lies 3e6 and 3e7 from 0; phi taken
+        # as a t^2/2 + b t there cancels to a spot-check error of 4.8e-6 and
+        # 4.2e-4, where a (t - vertex)^2 / 2 keeps it at rounding
+        assert analytic_dims(brane(1, q=1000, c=c)) == (1, 0)
+
     def test_reads_no_crossing_record(self, monkeypatch):
         def no_record(tt):
             raise AssertionError("the analytic route read the crossing record")

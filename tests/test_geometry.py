@@ -15,8 +15,11 @@ from torusmirror.geometry import (
     CIRCLE,
     LINE,
     ROOT_TOL,
+    TANGENCY_HEIGHT_TOL,
+    TRANSVERSALITY_TOL,
     IntersectionPoint,
     LagrangianGraph,
+    _critical_points,
     _refine_roots,
     _scan_interval,
     _signed_area,
@@ -274,6 +277,8 @@ def test_signed_crossing_count_is_winding(p, c, a1, b1):
 
 @settings(max_examples=20, deadline=None)
 @given(c=st.floats(-0.9, 0.9), b1=st.floats(-0.25, 0.25))
+# a subnormal wiggle: unscaled, its Laurent coefficients overflow np.roots
+@example(c=0.0, b1=2.2250738585e-313)
 def test_integer_shift_relabels_components(c, b1):
     g0 = make_graph(p=0, q=1, c=c, wiggle=[(1, 0.0, b1)], id="A")
     g1 = make_graph(p=0, q=1, c=c + 1.0, wiggle=[(1, 0.0, b1)], id="B")
@@ -389,6 +394,9 @@ HARMONIC = st.tuples(st.integers(1, 4), st.floats(-0.4, 0.4), st.floats(-0.4, 0.
     c=st.floats(-1.0, 1.0),
     harmonics=st.lists(HARMONIC, min_size=1, max_size=4),
 )
+# a top harmonic far below rounding: untrimmed, it scatters the other
+# critical points and 2 of the 3 crossings on shift 0 are lost
+@example(p=-3, q=1, c=0.0, harmonics=[(2, 0.0, 0.25), (3, 0.0, 3.43e-165)])
 def test_line_crossings_match_dense_sampling(p, q, c, harmonics):
     assume(math.gcd(p, q) == 1)
     g = make_graph(p=p, q=q, c=c, wiggle=harmonics)
@@ -415,6 +423,86 @@ def test_line_crossings_match_dense_sampling(p, q, c, harmonics):
         assert [pt.sign for pt in got] == [1 if ys[i] < 0 else -1 for i in change]
         for pt, t0 in zip(got, want):
             assert abs(pt.t0 - t0) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(-3, 3),
+    q=st.integers(1, 3),
+    harmonics=st.lists(st.tuples(st.integers(1, 9), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)), min_size=1, max_size=4),
+)
+def test_critical_points_hold_every_sampled_slope_sign_change(p, q, harmonics):
+    assume(p == 0 or math.gcd(p, q) == 1)
+    g = make_graph(p=p, q=q, c=0.0, wiggle=harmonics)
+    lo, hi = (0.0, float(q)) if p == 0 else _scan_interval(lift_components(g)[0])
+    knots = _critical_points(g, lo, hi)
+    assert np.all(np.diff(knots) >= 0)
+    assert np.all((lo <= knots) & (knots < hi)) if p == 0 else np.all((lo < knots) & (knots < hi))
+    if p == 0:
+        knots = np.concatenate([knots, knots + q])  # a knot at 0 also ends the period
+    # every bracket of a dense sample across which Y' changes sign holds a knot
+    ts = np.linspace(lo, hi, 100_001)
+    slopes = g.slope(ts)
+    change = np.flatnonzero((slopes[:-1] < 0) != (slopes[1:] < 0))
+    tol = 1e-7
+    first = np.searchsorted(knots, ts[change] - tol)
+    assert np.all(first < len(knots))
+    assert np.all(knots[np.minimum(first, len(knots) - 1)] <= ts[change + 1] + tol)
+
+
+def test_crossing_on_a_knot_off_the_unit_circle():
+    # Y' = 1 + 2 pi a cos(2 pi t) with 2 pi a < 1 has no zero, but its two
+    # negative real roots z give knots at t = 1/2, where Y = t - 1/2 + a sin(2 pi t)
+    # crosses with slope 1 - 2 pi a: a transversal crossing, not a tangency
+    g = make_graph(p=1, q=1, c=-0.5, wiggle=[(1, 0.0, 0.1)])
+    assert np.min(np.abs(_critical_points(g, -2.0, 2.0) - 0.5)) <= 1e-15
+    assert abs(g.height(0.5)) <= TANGENCY_HEIGHT_TOL
+    (points,) = object_geometry(g).crossings
+    assert [(pt.t0, pt.sign) for pt in points] == [(pytest.approx(0.5, abs=1e-15), 1)]
+
+
+# Y = t + c + b sin(18 pi t) with Y' = 1 + (1 + eps) cos(18 pi t): nine dips per
+# period, each between a maximum and a minimum of Y about 5e-4 apart: a
+# sampling of Y' at spacing q/640 can hold both in one step and miss them
+DIP_EPS = 1e-4
+DIP_B = (1 + DIP_EPS) / (18 * math.pi)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_two_close_critical_points_keep_their_three_crossings(k):
+    # the extrema of dip k in closed form: cos(18 pi t) = -1 / (1 + eps)
+    alpha = math.acos(1 / (1 + DIP_EPS))
+    t_max, t_min = ((math.pi + s * alpha + 2 * math.pi * k) / (18 * math.pi) for s in (-1, 1))
+    h_max, h_min = t_max + DIP_B * math.sin(alpha), t_min - DIP_B * math.sin(alpha)
+    # c midway between the extreme values: Y(t_max) = -Y(t_min), about 1.7e-8
+    g = make_graph(p=1, q=1, c=-0.5 * (h_max + h_min), wiggle=[(9, 0.0, DIP_B)])
+    assert g.height(t_max) > 10 * TANGENCY_HEIGHT_TOL and g.height(t_min) < -10 * TANGENCY_HEIGHT_TOL
+    (points,) = object_geometry(g).crossings
+    assert [pt.sign for pt in points] == [1, -1, 1]
+    reach = 0.05  # Y + shift stays away from 0 beyond the dip's neighbourhood
+    want = [brentq(g.height, a, b, xtol=1e-15) for a, b in ((t_max - reach, t_max), (t_max, t_min), (t_min, t_min + reach))]
+    assert [pt.t0 for pt in points] == pytest.approx(want, abs=1e-9)
+    assert all(abs(g.slope(t)) > TRANSVERSALITY_TOL for t in want)
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-3, 0.1])
+@pytest.mark.parametrize("at_maximum", [False, True])
+def test_triple_critical_point_misses_no_crossing(delta, at_maximum):
+    # Y' = sin^3(2 pi t) has triple zeros at t = 0 (a minimum of Y) and 1/2 (a
+    # maximum): Y = c - (3u - u^3) / (6 pi) with u = cos(2 pi t), whose
+    # harmonics are -3 cos(2 pi t) / (8 pi) + cos(6 pi t) / (24 pi)
+    wiggle = [(1, -3 / (8 * math.pi), 0.0), (3, 1 / (24 * math.pi), 0.0)]
+    extreme = 1 / (3 * math.pi)  # |W| at the two critical points
+    c = -extreme + delta if at_maximum else extreme - delta
+    g = make_graph(p=0, q=1, c=c, wiggle=wiggle)
+    assert g.slope(0.3) == pytest.approx(math.sin(0.6 * math.pi) ** 3, abs=1e-14)
+    geo = object_geometry(g)
+    points = geo.crossings[[comp.shift for comp in geo.components].index(0)]
+    # Y is monotone on either half period and changes sign on both
+    want = [brentq(g.height, 0.0, 0.5, xtol=1e-15), brentq(g.height, 0.5, 1.0, xtol=1e-15)]
+    assert [pt.t0 for pt in points] == pytest.approx(want, abs=1e-9)
+    assert [pt.sign for pt in points] == [1, -1]  # Y rises on (0, 1/2)
+    assert sum(len(pts) for pts in geo.crossings) == 2
 
 
 def scalar_refine_root(f, fprime, lo, hi):
@@ -542,6 +630,18 @@ def test_area_rule_matches_exact_primitive(q, c, harmonics, t_from, length):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _signed_area(comp, t_from, t_to)
+    assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+def test_batched_areas_match_exact_primitive():
+    # pairs of many panels, one panel, reversed and empty, in one call
+    comp = lift_components(make_graph(p=1, q=2, c=0.3, wiggle=[(1, 0.2, -0.1), (7, 0.05, 0.1)]))[0]
+    t_from, t_to = np.array([-2.0, 0.5, 3.0, 1.0]), np.array([2.5, 0.6, -1.0, 1.0])
+    exact = -(comp.height_primitive(t_to) - comp.height_primitive(t_from))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _signed_area(comp, t_from, t_to)
+    assert got.shape == (4,) and got[3] == 0.0
     assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
