@@ -10,11 +10,11 @@ line, with the seam matrix where the lattice meets t in q*Z.  Its index is
 +-n by shape; a block LDL^H factor of the full-rank side's Gram certifies
 the singular-value margin of that side, which fixes kernel and cokernel.
 Away from the seams the operator is a scalar times I, so the Gram is a
-real scalar tridiagonal with a few seam blocks: the factor runs LAPACK
-dpttrf on each stretch between seams, all n channels in one call, and an
-n x n eigh at each row a seam block enters.  Circles reduce to the
-discrete loop propagator P, whose fixed space counts the singular values
-of P - I within its own defect bound.
+real scalar tridiagonal with one block per seam (for p < 0, read
+backwards): the factor runs LAPACK dpttrf on each stretch between seams,
+all n channels in one call, and one n x n eigh per seam.  Circles reduce
+to the discrete loop propagator P, whose fixed space counts the singular
+values of P - I within its own defect bound, or is 0 by moduli alone.
 
 classify_components cuts every component at its negative crossings, for
 the derham CLI's case table.  Case tags: case1 = closed circle (no
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NumericsError, UnsupportedError, ValidationError, WindowError
 from .floer import RANK_TOL
-from .geometry import CIRCLE, LINE, LiftComponent, lift_components
+from .geometry import CIRCLE, LiftComponent, lift_components
 from .localsys import TwistedTransport, circle_monodromy
 
 TWO_PI = 2.0 * math.pi
@@ -277,13 +277,13 @@ def analytic_dims(tt: TwistedTransport, rank_tol: float = RANK_TOL) -> tuple[int
     g, n = tt.graph, tt.rank
     if g.p == 0:
         k = sum(
-            case1_kernel_dim(_circle_case(tt, LiftComponent(g, CIRCLE, shift)), rank_tol)
+            case1_kernel_dim(_circle_case(tt, LiftComponent(g, shift)), rank_tol)
             for shift in _circle_candidate_shifts(tt)
         )
         return k, k
     if g.p < 0:
         return 0, n * -g.p
-    label = LiftComponent(g, LINE, 0).label
+    label = LiftComponent(g, 0).label
     _spot_check_case3(TWO_PI * g.p / g.q, TWO_PI * g.c, label)
     return n * g.p, 0
 
@@ -312,19 +312,18 @@ def _line_tridiagonal(
 
     Row i of D is left_i A_i on node i and right_i on node i+1.  Nodes sit
     at lattice midpoints, so each row's center is a lattice point: where it
-    lies on q*Z (a seam), A_i is the flat seam matrix T, elsewhere I.
-    p > 0: no boundary rows, n fewer rows than columns, G = D D^H.  p < 0:
-    decay rows at both truncations, n more rows than columns, G = D^H D.
-
-    Away from the seams every block of G is a scalar times I.  p > 0: seam
-    row s has the diagonal left^2 T T^H + right^2 I and the coupling
-    right_{s-1} left_s T into it.  p < 0: seam row s has the diagonal
-    left^2 T^H T plus the neighbour's right^2 or the decay 1/hp^2, and
-    row s + 1 the coupling right_s left_s T into it.  T need not be
-    unitary.  For n = 1 the phase gauge x_i -> x_i * u_i with |u_i| = 1
-    turns every coupling e into |e|, so the seams fold into the scalar
-    arrays and no row is special.  Y~ is evaluated once per lattice phase
-    the window holds; Y~(t + q) = Y~(t) + p gives the rest."""
+    lies on q*Z (a seam), A_i is the flat seam matrix T, elsewhere I.  For
+    p > 0, D has n fewer rows than columns, and every block of G = D D^H
+    is a scalar times I but at seam row s: the diagonal left^2 T T^H +
+    right^2 I and the coupling right_{s-1} left_s T; T need not be
+    unitary.  For p < 0, D has decay rows 1/hp at both ends, and D^H D =
+    B B^H for B = J D^H J, J reversing the nodes, which has the p > 0
+    shape with (left, 1/hp) and (1/hp, right) read backwards, seams at
+    count - s and T^H: so the p > 0 assembly builds J G J, which has G's
+    singular values and row sums.  For n = 1 the phase gauge x_i -> x_i u_i
+    with |u_i| = 1 turns every coupling e into |e|, so the seams fold into
+    the scalar arrays and no row is special.  Y~ is evaluated once per
+    lattice phase the window holds; Y~(t + q) = Y~(t) + p gives the rest."""
     g = comp.parent
     n = t_mono.shape[0]
     n_nodes = int(round((hi - lo) / hp))
@@ -335,34 +334,19 @@ def _line_tridiagonal(
     left = -1.0 / hp + math.pi * ys
     right = 1.0 / hp + math.pi * ys
     seams = np.arange(-first % period, count, period)
-    eye = np.eye(n)
+    if g.p < 0:
+        left, right = np.append(left, 1.0 / hp)[::-1], np.append(1.0 / hp, right)[::-1]
+        seams, t_mono = (count - seams)[::-1], t_mono.conj().T
     scaled = left[seams, None, None] * t_mono
-    scaled_h = scaled.conj().transpose(0, 2, 1)
-    before = np.where(seams > 0, right[seams - 1], 0.0)
-    if g.p > 0:
-        diag = left * left + right * right
-        sub = right[:-1] * left[1:]
-        rows = seams
-        blocks = scaled @ scaled_h + (right[seams] ** 2)[:, None, None] * eye
-        into = before[:, None, None] * scaled
-    else:
-        diag = np.zeros(n_nodes)
-        diag[:-1] += left * left
-        diag[1:] += right * right
-        diag[[0, -1]] += 1.0 / (hp * hp)
-        sub = right * left
-        # the seam row, then the row that its coupling right_s left_s T enters
-        rows = np.stack([seams, seams + 1], axis=1).ravel()
-        seam_diag = scaled_h @ scaled + (np.where(seams > 0, before**2, 1.0 / (hp * hp)))[:, None, None] * eye
-        blocks = np.stack([seam_diag, diag[seams + 1, None, None] * eye], axis=1).reshape(-1, n, n)
-        scalar_into = np.where(seams > 0, sub[seams - 1], 0.0)[:, None, None] * eye
-        into = np.stack([scalar_into, right[seams, None, None] * scaled], axis=1).reshape(-1, n, n)
+    diag, sub = left * left + right * right, right[:-1] * left[1:]
+    blocks = scaled @ scaled.conj().transpose(0, 2, 1) + (right[seams] ** 2)[:, None, None] * np.eye(n)
+    into = np.where(seams > 0, right[seams - 1], 0.0)[:, None, None] * scaled
     if n == 1:
-        diag[rows] = blocks[:, 0, 0].real
-        inner = rows > 0
-        sub[rows[inner] - 1] = np.abs(into[inner, 0, 0])
-        rows, blocks, into = rows[:0], blocks[:0], into[:0]
-    return _LineGram(diag, sub, rows, blocks, into)
+        diag[seams] = blocks[:, 0, 0].real
+        inner = seams > 0
+        sub[seams[inner] - 1] = np.abs(into[inner, 0, 0])
+        seams, blocks, into = seams[:0], blocks[:0], into[:0]
+    return _LineGram(diag, sub, seams, blocks, into)
 
 
 def _row_sum_bound(gram: _LineGram) -> float:
@@ -447,9 +431,7 @@ def _validate_window(comp: LiftComponent, lo: float, hi: float) -> None:
 def _line_component_dims(
     comp: LiftComponent, t_mono: np.ndarray, big_t: float, hp: float, res: int, rank_tol: float
 ) -> tuple[int, int]:
-    g = comp.parent
-    vertex = -(g.c + comp.shift) * g.q / g.p
-    lo, hi = vertex - big_t, vertex + big_t
+    lo, hi = comp.vertex - big_t, comp.vertex + big_t
     _validate_window(comp, lo, hi)
     gram = _line_tridiagonal(comp, t_mono, lo, hi, hp, res)
     threshold = rank_tol * math.sqrt(_row_sum_bound(gram))
@@ -461,8 +443,7 @@ def _line_component_dims(
             f"component {comp.label}: the full-rank side has a singular value at or below "
             f"the cutoff {threshold:.3g}; margin sigma_min/cutoff in ({low:.3g}, {2.0 ** (1 - k):.3g}]"
         )
-    n = t_mono.shape[0]
-    return (n, 0) if g.p > 0 else (0, n)
+    return (len(t_mono), 0) if comp.parent.p > 0 else (0, len(t_mono))
 
 
 def _circle_propagator_dims(comp: LiftComponent, t_mono: np.ndarray, hp: float, res: int) -> tuple[int, int]:
@@ -482,16 +463,25 @@ def _circle_propagator_dims(comp: LiftComponent, t_mono: np.ndarray, hp: float, 
     space) give k of P - I at or below bound = expm1(log_defect) |P|_2 plus
     n eps (|P|_2 + 1) for the rounding of P - I and its SVD, and one above
     the bound has a non-zero counterpart.  One in (bound,
-    PROPAGATOR_MARGIN * bound] is too close to call."""
+    PROPAGATOR_MARGIN * bound] is too close to call.  Far from zero that
+    bound is nearly |P - I| itself, so first: P's eigenvalue moduli lie in
+    lambda_h [sigma_min(T), sigma_max(T)] and M's within e^+-log_defect of
+    them, and a log range beyond PROPAGATOR_MARGIN log_defect + n eps on
+    either side of 0 gives 0 without forming P."""
     g = comp.parent
     steps = g.q * res
     mids = (np.arange(steps) + 1.0) * hp  # lattice points of one loop from node at hp/2
     x = hp * math.pi * comp.height(mids)
     terms = np.log1p(-x) - np.log1p(x)
-    propagator = t_mono * math.exp(float(np.sum(terms)))  # exactly one seam per loop
+    log_lambda = float(np.sum(terms))
     eps = np.finfo(float).eps
     log_defect = float(np.sum(2.0 * np.abs(x) ** 3 / (3.0 * (1.0 - x * x))) + steps * eps * np.sum(np.abs(terms)))
-    norm = float(np.linalg.norm(propagator, 2))
+    t_sv = np.linalg.svd(t_mono, compute_uv=False)
+    reach = PROPAGATOR_MARGIN * log_defect + len(t_mono) * eps
+    if log_lambda + math.log(t_sv[0]) < -reach or log_lambda + math.log(t_sv[-1]) > reach:
+        return 0, 0
+    propagator = t_mono * math.exp(log_lambda)  # exactly one seam per loop
+    norm = math.exp(log_lambda) * float(t_sv[0])  # |P|_2
     bound = math.expm1(log_defect) * norm + len(t_mono) * eps * (norm + 1.0)
     sv = np.linalg.svd(propagator - np.eye(len(t_mono)), compute_uv=False)
     near = sv[(sv > bound) & (sv <= PROPAGATOR_MARGIN * bound)]
@@ -523,7 +513,7 @@ def discretized_dims(
     else NumericsError names the component and the margin.  The Gram is a
     real scalar tridiagonal except at the seams, so the factor is one
     LAPACK dpttrf call per stretch between seams, all n channels at once,
-    and one n x n eigh per row that a seam block enters.  Circles count the singular values of
+    and one n x n eigh per seam.  Circles count the singular values of
     P - I for the discrete loop propagator P within its defect bound.
     h must lie in (0, 1e-2], big_t be positive and rank_tol lie in (0, 1),
     all finite, else ValidationError.
@@ -548,7 +538,7 @@ def discretized_dims(
         shifts = {c.shift for c in lift_components(tt.graph)}
         shifts.update(_circle_candidate_shifts(tt))
         for shift in sorted(shifts):
-            comp = LiftComponent(tt.graph, CIRCLE, shift)
+            comp = LiftComponent(tt.graph, shift)
             ker, coker = _circle_propagator_dims(comp, t_mono, hp, res)
             h0 += ker
             h1 += coker

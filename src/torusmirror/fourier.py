@@ -207,7 +207,7 @@ def standard_section(tt: TwistedTransport, K: int = 25) -> ThetaSection:
                 raise ValidationError(f"component {comp.label} has no positive crossing")
             coeffs.append(HorizontalCoefficient(tt.system, comp, plus[0].t0, e0))
     elif g.p == 0:
-        coeffs.append(CircleCoefficient(tt.system, LiftComponent(g, CIRCLE, 0), 0.0, e0))
+        coeffs.append(CircleCoefficient(tt.system, LiftComponent(g, 0), 0.0, e0))
     else:
         raise DecayError(f"object {g.id}: p = {g.p} < 0 admits no decaying coefficients")
     return ThetaSection(tt, tuple(coeffs), K)
@@ -245,8 +245,7 @@ def _line_sums(
     g = comp.parent
     reach = K + coeff.peak_reach
     shifts = [0] + [sign * d for d in range(1, reach + 1) for sign in (1, -1)] + [-(reach + 1), reach + 1]
-    s_star = -(g.c + comp.shift) * g.q / g.p
-    m0 = np.rint((s_star - t_branch) / g.q)
+    m0 = np.rint((comp.vertex - t_branch) / g.q)
     s = t_branch[..., None] + g.q * (m0[..., None] + np.array(shifts))
     with np.errstate(over="ignore", invalid="ignore"):
         flat, twist = coeff.flat_and_twist(s)

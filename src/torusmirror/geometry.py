@@ -164,7 +164,9 @@ class LagrangianGraph:
         return sum(h.m for h in self.wiggle)
 
     def default_window(self) -> float:
-        return max(4.0, 2.0 + abs(self.c) + self.wiggle_bound())
+        """max(4, 2 + wiggle bound): some branch lies within 1/2 + wiggle
+        bound of zero whatever c is, and a wider window adds far circles."""
+        return max(4.0, 2.0 + self.wiggle_bound())
 
 
 @dataclass(frozen=True)
@@ -174,8 +176,17 @@ class LiftComponent:
     (any integer shift).  The branch function is Y(t) + shift."""
 
     parent: LagrangianGraph
-    kind: str
     shift: int
+
+    @property
+    def kind(self) -> str:
+        return LINE if self.parent.p != 0 else CIRCLE
+
+    @property
+    def vertex(self) -> float:
+        """A line's weight vertex, where (p/q) t + c + shift vanishes."""
+        g = self.parent
+        return -(g.c + self.shift) * g.q / g.p
 
     @property
     def label(self) -> str:
@@ -236,21 +247,21 @@ def lift_components(graph: LagrangianGraph, window: float | None = None) -> list
 
     For p != 0 these are the |p| lines with shifts 0..|p|-1.  For p = 0 they
     are circles, enumerated lazily: only shifts whose branch meets the band
-    |y| <= window are returned.  window defaults to
-    max(4, 2 + |c| + sum of wiggle coefficient magnitudes).
+    |y| <= window are returned.  window defaults to max(4, 2 + sum of
+    wiggle coefficient magnitudes), which holds the branches nearest zero.
     """
     if window is None:
         window = graph.default_window()
     if window <= 0:
         raise ValidationError(f"window must be positive, got {window}")
     if graph.p != 0:
-        return [LiftComponent(graph, LINE, r) for r in range(abs(graph.p))]
+        return [LiftComponent(graph, r) for r in range(abs(graph.p))]
     ts = np.linspace(0.0, graph.q, 1024, endpoint=False)
     ys = graph.height(ts)
     ymin, ymax = float(np.min(ys)), float(np.max(ys))
     lo = math.ceil(-window - ymax - 1e-12)
     hi = math.floor(window - ymin + 1e-12)
-    return [LiftComponent(graph, CIRCLE, r) for r in range(lo, hi + 1)]
+    return [LiftComponent(graph, r) for r in range(lo, hi + 1)]
 
 
 def _scan_interval(comp: LiftComponent) -> tuple[float, float]:

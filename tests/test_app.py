@@ -307,6 +307,24 @@ class TestRunVerify:
         for entry in report.objects:
             assert entry["floer_dims"] == entry["analytic_dims"] == entry["discretized_dims"] == [0, 0]
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_circles_far_from_zero_pass(self, rank, rng):
+        # each curve is the c = 0.3 circle with its shift relabelled, or a
+        # wiggle that sweeps far branches into the enumeration window; the
+        # far branches' moduli are e^(+-60) or more away from 1
+        t = np.eye(1) if rank == 1 else random_unitary(2, rng)
+        monodromy = [[[z.real, z.imag] for z in row] for row in t]
+        shapes = [(10.3, ()), (60.3, ()), (100.3, ()), (200.3, ()), (0.3, [(1, 5.0, 0.0)]), (0.3, [(1, 8.0, 0.0)])]
+        objects = [
+            object_dict(id=f"far{i}", p=0, c=c, wiggle=wiggle, monodromy=monodromy)
+            for i, (c, wiggle) in enumerate(shapes)
+        ]
+        # a RuntimeWarning is an error under the test settings, so it would fail its object
+        report = run_verify(scene_from_dict(scene_dict(*objects)))
+        for entry in report.objects:
+            assert entry["pass"], entry["errors"]
+            assert entry["floer_dims"] == entry["analytic_dims"] == entry["discretized_dims"] == [0, 0]
+
     def test_circle_object_skips_dbar(self):
         scene = scene_from_dict(scene_dict(object_dict(id="circ", p=0, c=0.3)))
         report = run_verify(scene)

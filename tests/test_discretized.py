@@ -186,6 +186,22 @@ def test_scalar_band_with_seam_patches_matches_block_band(p, q, n, seam_row, rng
         assert derham._factors(gram, scale * flip) is exists
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_negative_slope_line_has_one_special_row_per_seam(n, rng):
+    # G = D^H D is assembled as the p > 0 Gram of the reversed operator, so
+    # each seam enters one row, as it does for p > 0
+    res = 64
+    hp = 1.0 / res
+    comp = lift_components(make_graph(p=-1, q=1, c=0.3))[0]
+    mono = random_unitary(n, rng) @ np.diag(np.linspace(0.5, 2.0, n))
+    gram = derham._line_tridiagonal(comp, mono, -3.0, 3.0, hp, res)
+    lattice = math.floor(-3.0 / hp) + 1 + np.arange(6 * res - 1)
+    seams = np.flatnonzero(lattice % res == 0)
+    assert len(seams) == 5
+    assert len(gram.diag) == 6 * res
+    assert len(gram.rows) == len(gram.blocks) == len(gram.into) == len(seams)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_non_finite_pivot_is_no_factor(n, rng):
     graph = make_graph(p=-1, q=1, c=0.3)
