@@ -79,13 +79,6 @@ class ComponentCase:
     monodromy: np.ndarray | None = None
 
 
-def _circle_case(tt: TwistedTransport, comp: LiftComponent) -> ComponentCase:
-    """A circle without crossings, with its twisted monodromy."""
-    g = tt.graph
-    b = TWO_PI * (g.c + comp.shift)
-    return ComponentCase(comp, CASE1, 0.0, b, (0.0, g.q), 0, circle_monodromy(tt.system, comp))
-
-
 def classify_components(tt: TwistedTransport) -> list[ComponentCase]:
     """Cut every lift component at its negative crossings and classify the
     residual pieces.  a and b are the linearized weight-exponent data:
@@ -100,7 +93,8 @@ def classify_components(tt: TwistedTransport) -> list[ComponentCase]:
         negatives = [pt.t0 for pt in points if not pt.is_positive]
         if comp.kind == CIRCLE:
             if not points:
-                cases.append(_circle_case(tt, comp))
+                mono = circle_monodromy(tt.system, comp)
+                cases.append(ComponentCase(comp, CASE1, 0.0, b, (0.0, g.q), 0, mono))
                 continue
             # alternation forces equal counts, so negatives exist here
             for lo, hi in zip(negatives, negatives[1:] + [negatives[0] + g.q]):
@@ -117,11 +111,10 @@ def classify_components(tt: TwistedTransport) -> list[ComponentCase]:
     return cases
 
 
-def case1_kernel_dim(case: ComponentCase, rank_tol: float = RANK_TOL) -> int:
-    """Dimension of the twisted monodromy's fixed space: the singular values
-    of M - I at or below rank_tol * |M|, an absolute cutoff, so that a
-    rounding-sized M - I counts as zero whatever its own scale."""
-    m = case.monodromy
+def case1_kernel_dim(m: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+    """Dimension of the fixed space of a circle's twisted monodromy m: the
+    singular values of M - I at or below rank_tol * |M|, an absolute cutoff,
+    so that a rounding-sized M - I counts as zero whatever its own scale."""
     sv = np.linalg.svd(m - np.eye(m.shape[0]), compute_uv=False)
     return int(np.sum(sv <= rank_tol * np.linalg.norm(m, 2)))
 
@@ -277,7 +270,7 @@ def analytic_dims(tt: TwistedTransport, rank_tol: float = RANK_TOL) -> tuple[int
     g, n = tt.graph, tt.rank
     if g.p == 0:
         k = sum(
-            case1_kernel_dim(_circle_case(tt, LiftComponent(g, shift)), rank_tol)
+            case1_kernel_dim(circle_monodromy(tt.system, LiftComponent(g, shift)), rank_tol)
             for shift in _circle_candidate_shifts(tt)
         )
         return k, k
@@ -557,6 +550,6 @@ def case_report(tt: TwistedTransport) -> list[dict]:
             "positives": case.positives,
         }
         if case.monodromy is not None:
-            entry["eigenvalue_one_dim"] = case1_kernel_dim(case)
+            entry["eigenvalue_one_dim"] = case1_kernel_dim(case.monodromy)
         out.append(entry)
     return out

@@ -76,7 +76,13 @@ def matrix_rank(d: np.ndarray, rank_tol: float = RANK_TOL) -> int:
 
 
 def cohomology_dims(fc: FloerComplex, rank_tol: float = RANK_TOL) -> tuple[int, int]:
-    r = matrix_rank(fc.d, rank_tol)
+    """Kernel and cokernel dimensions of d.  Every arc joins two crossings of
+    one component, so d is block diagonal with one block per component, and
+    each block is ranked against its own largest singular value: area
+    weights differ by many orders between components."""
+    cols = np.repeat([pt.component.shift for pt in fc.f0], fc.n)
+    rows = np.repeat([pt.component.shift for pt in fc.f1], fc.n)
+    r = sum(matrix_rank(fc.d[np.ix_(rows == s, cols == s)], rank_tol) for s in set(cols.tolist()))
     return fc.dim_f0 - r, fc.dim_f1 - r
 
 

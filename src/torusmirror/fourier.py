@@ -13,18 +13,15 @@ transports and twists on all of it at once (a sampled coefficient's
 function gets the whole array too), and takes the tail bound.  The lifts
 form one fixed window: K + R shifts either side of the lift nearest the
 vertex of the quadratic weight, where R is the coefficient's peak_reach,
-a bound set when the coefficient is built on how far its largest lift can
-lie from that one.  None of that depends on the dual coordinate, so only
-the kernel weight and the sum are computed per point.  theta_eval,
-dbar_residuals, tensor_compat_check and app.sample_section call it.
+a bound on how far its largest lift can lie from that one.  None of that
+depends on the dual coordinate, so only the kernel weight and the sum are
+computed per point.  theta_eval, dbar_residuals, tensor_compat_check and
+app.sample_section call it.
 
 dbar_residuals differences the nine values of a fourth-order stencil of
 step h around each of its points, all points' stencils evaluated as one
 batch; dbar_residual is its one-point case.  The verify check
-(app.dbar_check) samples all its points in one call per step; it starts
-at h = 1e-3 and halves h while a residual above tolerance falls at the
-stencil's own rate (at least 12-fold per halving), down to h/8, so that
-the O(h^4) error of the stencil is not reported as a holomorphicity fault.
+(app.dbar_check) chooses the steps.
 """
 
 from __future__ import annotations
@@ -32,20 +29,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DecayError, NumericsError, UnsupportedError, ValidationError
 from .geometry import CIRCLE, LINE, Harmonic, LagrangianGraph, LiftComponent, lift_components
-from .localsys import (
-    LocalSystem,
-    TwistedTransport,
-    circle_monodromy,
-    horizontal_section,
-    log_norm,
-    trivial_system,
-)
+from .localsys import HorizontalSection, LocalSystem, TwistedTransport, circle_monodromy, log_norm, trivial_system
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,34 +81,31 @@ class ThetaValue(NamedTuple):
     trunc_bound: float
 
 
-class _SectionCoefficient:
-    """A coefficient given by a horizontal section, held as self.section."""
-
-    def flat_and_twist(self, s) -> tuple[np.ndarray, np.ndarray]:
-        return self.section.flat_and_twist(s)
-
-
-class HorizontalCoefficient(_SectionCoefficient):
+@dataclass(frozen=True)
+class HorizontalCoefficient(HorizontalSection):
     """Rapidly-decreasing coefficient on a line component: the horizontal
-    section through (anchor, v)."""
+    section through (anchor_t, vector)."""
 
-    def __init__(self, system: LocalSystem, comp: LiftComponent, anchor_t: float, v):
+    def __post_init__(self):
+        super().__post_init__()
+        comp = self.component
         if comp.kind != LINE or comp.parent.p <= 0:
             raise DecayError(
                 f"component {comp.label}: horizontal sections decay only on "
                 "positive-slope line components"
             )
-        self.component = comp
-        self.section = horizontal_section(system, comp, anchor_t, v)
-        self.rank = system.rank
-        # Lifts of one branch point lie whole periods q apart, so the wiggle's
-        # primitive cancels between them and the log weight k shifts from the
-        # nominal peak is -pi*p*q*(k + delta)^2 + const with |delta| <= 1/2,
-        # while log|T^k v| moves by at most L = max(log|T|_2, log|T^-1|_2) per
-        # shift.  A lift beats its neighbour nearer the nominal peak only if
-        # |k| <= 1 + L / (2*pi*p*q).
-        big_l = max(math.log(np.linalg.norm(m, 2)) for m in (system.monodromy, np.linalg.inv(system.monodromy)))
-        self.peak_reach = 1 + math.floor(max(0.0, big_l) / (TWO_PI * comp.parent.p * comp.parent.q))
+
+    @cached_property
+    def peak_reach(self) -> int:
+        """Lifts of one branch point lie whole periods q apart, so the wiggle's
+        primitive cancels between them and the log weight k shifts from the
+        nominal peak is -pi*p*q*(k + delta)^2 + const with |delta| <= 1/2,
+        while log|T^k v| moves by at most L = max(log|T|_2, log|T^-1|_2) per
+        shift.  A lift beats its neighbour nearer the nominal peak only if
+        |k| <= 1 + L / (2*pi*p*q)."""
+        g, mono = self.component.parent, self.system.monodromy
+        big_l = max(math.log(np.linalg.norm(m, 2)) for m in (mono, np.linalg.inv(mono)))
+        return 1 + math.floor(max(0.0, big_l) / (TWO_PI * g.p * g.q))
 
     def tail_bound(self, lo_term, hi_term):
         g = self.component.parent
@@ -125,24 +113,22 @@ class HorizontalCoefficient(_SectionCoefficient):
         return (lo_term + hi_term) / (1.0 - math.exp(-math.pi * sigma))
 
 
-class CircleCoefficient(_SectionCoefficient):
+@dataclass(frozen=True)
+class CircleCoefficient(HorizontalSection):
     """Coefficient on a circle component: a single-valued horizontal section,
     which exists exactly when the twisted monodromy fixes the vector."""
 
-    def __init__(self, system: LocalSystem, comp: LiftComponent, anchor_t: float, v):
+    def __post_init__(self):
+        super().__post_init__()
+        comp, v = self.component, self.vector
         if comp.kind != CIRCLE:
             raise ValidationError(f"component {comp.label} is not a circle")
-        v = np.asarray(v, dtype=complex).reshape(system.rank)
-        hol = circle_monodromy(system, comp)
-        defect = np.linalg.norm(hol @ v - v)
+        defect = np.linalg.norm(circle_monodromy(self.system, comp) @ v - v)
         if defect > CIRCLE_FIXED_TOL * max(np.linalg.norm(v), 1.0):
             raise DecayError(
                 f"component {comp.label}: twisted monodromy moves the vector "
                 f"(defect {defect:.3g}); no single-valued horizontal section"
             )
-        self.component = comp
-        self.section = horizontal_section(system, comp, anchor_t, v)
-        self.rank = system.rank
 
 
 class SampledCoefficient:
@@ -216,11 +202,6 @@ def standard_section(tt: TwistedTransport, K: int = 25) -> ThetaSection:
 def unit_object(n: int = 1) -> TwistedTransport:
     """The zero-section circle with trivial local system (convolution unit)."""
     return TwistedTransport(LagrangianGraph(id="unit", q=1, p=0, c=0.0), trivial_system(n))
-
-
-def zero_section_of(tt: TwistedTransport, K: int = 25) -> ThetaSection:
-    """The all-zero coefficient choice; evaluates to the zero section."""
-    return ThetaSection(tt, (), K)
 
 
 def _line_sums(
@@ -445,7 +426,7 @@ def _lift_values(sec: ThetaSection, t_rep: np.ndarray, ks: np.ndarray) -> np.nda
 
     For a p > 0 line the lifts over t_rep carry fiber values Y(t_rep) + k
     with k = p*m + r; the unit-type circle carries only k = 0.  Each
-    coefficient's section is evaluated once, on all the lifts it carries.
+    coefficient is evaluated once, on all the lifts it carries.
     """
     g = sec.parent.graph
     t_rep, ks = np.broadcast_arrays(t_rep, ks)
@@ -456,7 +437,7 @@ def _lift_values(sec: ThetaSection, t_rep: np.ndarray, ks: np.ndarray) -> np.nda
     out = np.zeros(ks.shape + (sec.parent.rank,), dtype=complex)
     for coeff in sec.coefficients:
         hit = shift == coeff.component.shift
-        out[hit] = coeff.section(t_rep[hit] + m[hit])
+        out[hit] = coeff(t_rep[hit] + m[hit])
     return out
 
 

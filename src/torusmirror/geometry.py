@@ -160,9 +160,6 @@ class LagrangianGraph:
         """sup |W|, bounded by the sum of coefficient magnitudes."""
         return sum(abs(h.a) + abs(h.b) for h in self.wiggle)
 
-    def harmonic_order_sum(self) -> int:
-        return sum(h.m for h in self.wiggle)
-
     def default_window(self) -> float:
         """max(4, 2 + wiggle bound): some branch lies within 1/2 + wiggle
         bound of zero whatever c is, and a wider window adds far circles."""

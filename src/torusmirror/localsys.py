@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import LINE, IntersectionPoint, LagrangianGraph, LiftComponent, ObjectGeometry, object_geometry
+from .geometry import LagrangianGraph, LiftComponent, ObjectGeometry, object_geometry
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,18 +106,22 @@ def _power_table(monodromy: np.ndarray, v: np.ndarray, k_lo: int, k_hi: int) -> 
 
 @dataclass(frozen=True)
 class HorizontalSection:
-    """The horizontal section through (anchor, v): s(t) = transport(anchor -> t) v.
-
-    decays is True exactly when the section is rapidly decreasing in both
-    directions along the component (Gaussian weight of a positive-slope line).
-    Every method takes a scalar t or an array of t.
+    """The horizontal section through (anchor_t, vector), a complex n-vector:
+    s(t) = transport(anchor_t -> t) vector.  Every method takes a scalar t or
+    an array of t.
     """
 
     system: LocalSystem
     component: LiftComponent
     anchor_t: float
     vector: np.ndarray
-    decays: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=complex).reshape(self.system.rank))
+
+    @property
+    def rank(self) -> int:
+        return self.system.rank
 
     def flat_and_twist(self, t) -> tuple[np.ndarray, np.ndarray]:
         """s(t) = flat * exp(twist): the flat transport T^k v, shape t.shape + (n,),
@@ -141,18 +145,6 @@ class HorizontalSection:
         flat, twist = self.flat_and_twist(t)
         out = log_norm(flat) + twist
         return out if out.shape else float(out)
-
-
-def horizontal_section(
-    system: LocalSystem,
-    comp: LiftComponent,
-    anchor: IntersectionPoint | float,
-    v: np.ndarray,
-) -> HorizontalSection:
-    t_a = anchor.t0 if isinstance(anchor, IntersectionPoint) else float(anchor)
-    v = np.asarray(v, dtype=complex).reshape(system.rank)
-    decays = comp.kind == LINE and comp.parent.p > 0
-    return HorizontalSection(system, comp, t_a, v, decays)
 
 
 def circle_monodromy(system: LocalSystem, comp: LiftComponent) -> np.ndarray:

@@ -257,6 +257,15 @@ class TestRunVerify:
         assert entry["dbar_step"] == DBAR_STEP / 2
         assert entry["dbar_residual_max"] <= scene.params.dbar_tol
 
+    def test_dbar_step_retry_takes_the_first_step_within_tolerance(self):
+        # residuals 2.0e-6 at h = 2.5e-4, then 2.3e-7 at h = 1.25e-4: the finer
+        # step is within tolerance although it fell less than 12-fold
+        scene = scene_from_dict(scene_dict(object_dict(id="steep", p=20, c=0.3)))
+        entry = run_verify(scene).objects[0]
+        assert entry["pass"], (entry["checks"], entry["errors"])
+        assert entry["dbar_step"] == DBAR_STEP_MIN
+        assert entry["dbar_residual_max"] <= scene.params.dbar_tol
+
     def test_dbar_step_retry_keeps_a_real_fault(self, monkeypatch):
         import torusmirror.app as app
 
@@ -324,6 +333,18 @@ class TestRunVerify:
         for entry in report.objects:
             assert entry["pass"], entry["errors"]
             assert entry["floer_dims"] == entry["analytic_dims"] == entry["discretized_dims"] == [0, 0]
+
+    @pytest.mark.parametrize(
+        "monodromy", [[[[1.0, 0.0]]], [[[0.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]], ids=["trivial", "rotation"]
+    )
+    def test_tall_harmonic_circle_ranks_each_component_alone(self, monodromy):
+        # the a = 12 harmonic crosses 24 circles, and the largest singular
+        # values of their blocks of d run from 0.91 down to 8e-11: a 1e-9
+        # cutoff against the largest of all drops the two smallest blocks
+        curve = object_dict(id="tall", p=0, c=0.3, wiggle=[(1, 12.0, 0.0)], monodromy=monodromy)
+        entry = run_verify(scene_from_dict(scene_dict(curve))).objects[0]
+        assert entry["pass"], (entry["checks"], entry["errors"])
+        assert entry["floer_dims"] == entry["analytic_dims"] == entry["discretized_dims"] == [0, 0]
 
     def test_circle_object_skips_dbar(self):
         scene = scene_from_dict(scene_dict(object_dict(id="circ", p=0, c=0.3)))

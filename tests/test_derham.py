@@ -94,6 +94,20 @@ class TestClassification:
         assert cases[1].interval[0] == pytest.approx(-0.5, abs=1e-9)
         assert all(c.positives == 1 for c in cases)
 
+    def test_line_with_three_negatives_has_two_finite_intervals(self):
+        # Y' = 1 + 3 pi cos(2 pi t) changes sign: seven crossings on the one line
+        tt = brane(1, c=0.3, wiggle=[(1, 0.0, 1.5)])
+        (points,) = tt.geometry.crossings
+        negatives = [pt.t0 for pt in points if not pt.is_positive]
+        assert len(negatives) == 3
+        cases = classify_components(tt)
+        assert [c.case for c in cases] == [CASE3A, CASE2, CASE2, CASE3A]
+        assert [c.interval for c in cases] == list(zip([-math.inf] + negatives, negatives + [math.inf]))
+        for case in cases:
+            assert (case.a, case.b) == (TWO_PI, TWO_PI * 0.3)
+            lo, hi = case.interval
+            assert case.positives == sum(pt.is_positive and lo < pt.t0 < hi for pt in points) == 1
+
     def test_decreasing_lines_are_growing_end_intervals(self):
         cases = classify_components(brane(-2, c=0.25))
         assert len(cases) == 4
@@ -106,7 +120,7 @@ class TestClassification:
         assert len(cases) == 8  # default window 4: shifts -4..3
         assert all(c.case == CASE1 for c in cases)
         assert all(c.monodromy is not None for c in cases)
-        assert all(case1_kernel_dim(c) == 0 for c in cases)
+        assert all(case1_kernel_dim(c.monodromy) == 0 for c in cases)
 
     def test_crossing_circle_cuts_into_finite_arcs(self):
         cases = classify_components(brane(0, c=0.0, wiggle=[(1, 0.0, 0.5)]))
@@ -119,7 +133,7 @@ class TestClassification:
     def test_eigenvalue_one_circle_detected(self):
         mono = [[math.exp(TWO_PI * 1.3)]]
         cases = classify_components(brane(0, c=0.3, mono=mono))
-        dims = {c.component.shift: case1_kernel_dim(c) for c in cases}
+        dims = {c.component.shift: case1_kernel_dim(c.monodromy) for c in cases}
         assert dims[1] == 1
         assert all(v == 0 for shift, v in dims.items() if shift != 1)
 

@@ -213,6 +213,45 @@ def test_non_finite_pivot_is_no_factor(n, rng):
     assert not derham._factors(gram, math.nan)
 
 
+def dense_gram(gram):
+    """G in full from its scalar tridiagonal and its special rows."""
+    n = gram.blocks.shape[1]
+    eye = np.eye(n)
+    dense = np.kron(np.diag(gram.diag) + np.diag(gram.sub, -1) + np.diag(gram.sub, 1), eye).astype(complex)
+    for r, block, into in zip(gram.rows, gram.blocks, gram.into):
+        dense[n * r : n * (r + 1), n * r : n * (r + 1)] = block
+        if r > 0:
+            dense[n * r : n * (r + 1), n * (r - 1) : n * r] = into
+            dense[n * (r - 1) : n * r, n * r : n * (r + 1)] = into.conj().T
+    return dense
+
+
+def test_first_non_positive_pivot_at_a_seam_row(rng):
+    # every scalar row is diagonally dominant (least eigenvalue above 2 on the
+    # rows before the seam), while the seam block at row 6 has an eigenvalue 1
+    # that its couplings push lower still
+    n, rows, seam = 2, 12, 6
+    u = random_unitary(n, rng)
+    block = u @ np.diag([4.0, 1.0]) @ u.conj().T
+    gram = derham._LineGram(
+        np.full(rows, 4.0), np.ones(rows - 1), np.array([seam]), block[None], random_unitary(n, rng)[None]
+    )
+    dense = dense_gram(gram)
+
+    def least(k):
+        """Least eigenvalue of G's leading k block rows and columns."""
+        return float(np.linalg.eigvalsh(dense[: n * k, : n * k])[0])
+
+    assert least(seam) > 2.0 > least(seam + 1) > least(rows) > 0.0
+    at_seam = (1.0 + 1e-6) * math.sqrt(least(seam + 1))
+    for sigma in ((1.0 - 1e-6) * math.sqrt(least(rows)), (1.0 + 1e-6) * math.sqrt(least(rows)), at_seam, 1.5):
+        definite = [least(k) > sigma * sigma for k in range(1, rows + 1)]
+        assert derham._factors(gram, sigma) is definite[-1]
+    # at this shift the first non-positive pivot is the seam row's, and the
+    # factor stops at its eigh
+    assert [least(k) > at_seam**2 for k in range(1, rows + 1)].index(False) == seam
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

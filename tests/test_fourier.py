@@ -27,7 +27,6 @@ from torusmirror.fourier import (
     theta_eval,
     theta_eval_batch,
     unit_object,
-    zero_section_of,
 )
 from torusmirror.geometry import lift_components
 from torusmirror.localsys import LocalSystem, TwistedTransport, trivial_system
@@ -152,7 +151,7 @@ def test_gauge_transform_is_holomorphic(rng):
 
 
 def test_zero_section_residual():
-    sec = zero_section_of(canonical_object())
+    sec = ThetaSection(canonical_object(), ())
     assert theta_eval(sec, MirrorPoint(0.3, 0.4)).values[0, 0] == 0.0
     assert dbar_residual(sec, MirrorPoint(0.3, 0.4)) == 0.0
 
@@ -404,7 +403,7 @@ def test_peak_reach_bounds_the_largest_lift(tt, t):
             # T^k v overflows far out on the growing side, where the weight
             # has long won; those lifts read NaN and are skipped
             with np.errstate(over="ignore", invalid="ignore"):
-                log_mag = coeff.section.log_magnitude(branch + g.q * (nominal + shifts))
+                log_mag = coeff.log_magnitude(branch + g.q * (nominal + shifts))
             assert abs(shifts[np.nanargmax(log_mag)]) <= coeff.peak_reach
 
 

@@ -9,10 +9,10 @@ from scipy.integrate import quad
 from torusmirror.errors import ValidationError
 from torusmirror.geometry import lift_components
 from torusmirror.localsys import (
+    HorizontalSection,
     LocalSystem,
     TwistedTransport,
     circle_monodromy,
-    horizontal_section,
     quasi_unitarize,
     transport_flat,
     transport_twisted,
@@ -92,18 +92,16 @@ def test_cocycle_and_reversal(t0, t1, t2):
     assert np.allclose(back @ ab, np.eye(2), atol=1e-10)
 
 
-def test_horizontal_section_gaussian_and_flags():
+def test_section_is_gaussian_on_a_rising_line_and_grows_on_a_falling_one():
     up = _comp(make_graph(p=1, q=1))
-    s = horizontal_section(trivial_system(1), up, 0.0, [1.0])
-    assert s.decays
+    s = HorizontalSection(trivial_system(1), up, 0.0, [1.0])
     for t in (-1.5, 0.0, 0.3, 2.0):
         assert s(t)[0] == pytest.approx(math.exp(-math.pi * t * t), rel=1e-12)
     assert s(0.0)[0] == pytest.approx(1.0)
     assert s.log_magnitude(3.0) == pytest.approx(-math.pi * 9.0, rel=1e-12)
 
     down = _comp(make_graph(p=-1, q=1, id="D"))
-    sd = horizontal_section(trivial_system(1), down, 0.0, [1.0])
-    assert not sd.decays
+    sd = HorizontalSection(trivial_system(1), down, 0.0, [1.0])
     assert sd.log_magnitude(4.0) == pytest.approx(math.pi * 16.0, rel=1e-12)  # grows
 
 
