@@ -29,9 +29,8 @@ from .localsys import LocalSystem, TwistedTransport
 
 #: fixed holomorphicity sample points, clear of the seam margin at t in Z
 DBAR_SAMPLE_POINTS = tuple((t, x) for t in (0.15, 0.35, 0.55, 0.75) for x in (0.2, 0.6))
-#: first finite-difference step of the dbar check, and the finest it retries at
+#: coarsest finite-difference step of the dbar check; the check takes DBAR_STEP / 2^k
 DBAR_STEP = 1e-3
-DBAR_STEP_MIN = DBAR_STEP / 8
 
 D_ROUTE_TOL = 1e-9
 
@@ -192,21 +191,23 @@ class VerificationReport:
 
 
 def dbar_check(section: ThetaSection, tol: float) -> tuple[float, float]:
-    """Largest dbar residual over DBAR_SAMPLE_POINTS and the step it was taken at.
+    """Largest dbar residual over DBAR_SAMPLE_POINTS and the one step it is taken at.
 
-    The step starts at DBAR_STEP and halves down to DBAR_STEP_MIN, so that the
-    stencil's own O(h^4) error is not reported as a holomorphicity fault.  The
-    first step whose residual is within tol is reported; when none is, the
-    smallest residual and its step.
+    With S = |p|/q + sum_m (2 pi m / q)(|a_m| + |b_m|) >= |Y'|, a coefficient's
+    transform varies at a rate of at most lam = 2 pi (xbar S + sqrt(S)): the
+    kernel's phase at 2 pi xdual Y' (xbar the largest sample xdual), the area
+    weight exp(-pi S u^2) at 2 pi sqrt(S) across its width.  The stencil errs by
+    lam^5 h^4 / 30 on exp(lam z), and h is the largest DBAR_STEP / 2^k that keeps
+    that within tol / 10.  The pass rule stays residual <= tol, so a model that
+    is too optimistic fails loudly, and a real fault reads its size at any step.
     """
-    points = [MirrorPoint(t, x) for t, x in DBAR_SAMPLE_POINTS]
-    tried, h = [], DBAR_STEP
-    while h >= DBAR_STEP_MIN:
-        tried.append((float(np.max(dbar_residuals(section, points, h))), h))
-        if tried[-1][0] <= tol:
-            return tried[-1]
+    g = section.parent.graph
+    slope = abs(g.p) / g.q + sum(2 * math.pi * abs(w.m) / g.q * (abs(w.a) + abs(w.b)) for w in g.wiggle)
+    rate = 2 * math.pi * (max(x for _, x in DBAR_SAMPLE_POINTS) * slope + math.sqrt(slope))
+    h = DBAR_STEP
+    while rate**5 * h**4 / 30 > tol / 10:
         h /= 2
-    return min(tried)
+    return float(np.max(dbar_residuals(section, [MirrorPoint(t, x) for t, x in DBAR_SAMPLE_POINTS], h))), h
 
 
 def _verify_object(tt: TwistedTransport, params: SceneParams) -> dict:

@@ -6,22 +6,22 @@ branch j collects the lattice lifts of the curve over t + j, each weighted
 by the coefficient value there and the kernel exp(2*pi*i * xdual * v) in
 the fiber value v.  The holomorphic coordinate is z = xdual + i*t.
 
-theta_eval_batch is the one evaluation path: for the U distinct t values
-of P mirror points it lays out, per coefficient, the lattice lifts of
-every branch as one (U, q, lifts) array, takes the coefficient's flat
+_coefficient_values is the one evaluation path: for the U distinct t
+values of P mirror points it lays out, per coefficient, the lattice lifts
+of every branch as one (U, q, lifts) array, takes the coefficient's flat
 transports and twists on all of it at once (a sampled coefficient's
 function gets the whole array too), and takes the tail bound.  The lifts
 form one fixed window: K + R shifts either side of the lift nearest the
 vertex of the quadratic weight, where R is the coefficient's peak_reach,
 a bound on how far its largest lift can lie from that one.  None of that
 depends on the dual coordinate, so only the kernel weight and the sum are
-computed per point.  theta_eval, dbar_residuals, tensor_compat_check and
-app.sample_section call it.
+computed per point.  theta_eval_batch sums the coefficients; theta_eval,
+tensor_compat_check and app.sample_section call it.
 
-dbar_residuals differences the nine values of a fourth-order stencil of
-step h around each of its points, all points' stencils evaluated as one
-batch; dbar_residual is its one-point case.  The verify check
-(app.dbar_check) chooses the steps.
+dbar_residuals differences each coefficient's nine values on a
+fourth-order stencil of step h around each of its points, all points'
+stencils evaluated as one batch; dbar_residual is its one-point case.  The
+verify check (app.dbar_check) derives the step from the curve's slope.
 """
 
 from __future__ import annotations
@@ -100,12 +100,12 @@ class HorizontalCoefficient(HorizontalSection):
         """Lifts of one branch point lie whole periods q apart, so the wiggle's
         primitive cancels between them and the log weight k shifts from the
         nominal peak is -pi*p*q*(k + delta)^2 + const with |delta| <= 1/2,
-        while log|T^k v| moves by at most L = max(log|T|_2, log|T^-1|_2) per
-        shift.  A lift beats its neighbour nearer the nominal peak only if
-        |k| <= 1 + L / (2*pi*p*q)."""
-        g, mono = self.component.parent, self.system.monodromy
-        big_l = max(math.log(np.linalg.norm(m, 2)) for m in (mono, np.linalg.inv(mono)))
-        return 1 + math.floor(max(0.0, big_l) / (TWO_PI * g.p * g.q))
+        while log|T^k v| moves by at most L = max(log|T|_2, log|T^-1|_2), the
+        largest |log sigma| over T's singular values, per shift.  A lift beats
+        its neighbour nearer the nominal peak only if |k| <= 1 + L / (2*pi*p*q)."""
+        g = self.component.parent
+        big_l = np.max(np.abs(np.log(np.linalg.svd(self.system.monodromy, compute_uv=False))))
+        return 1 + math.floor(big_l / (TWO_PI * g.p * g.q))
 
     def tail_bound(self, lo_term, hi_term):
         g = self.component.parent
@@ -242,36 +242,39 @@ def _line_sums(
     return sums, coeff.tail_bound(tail_norms[..., 0], tail_norms[..., 1])[where]
 
 
-def theta_eval_batch(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the section at the P mirror points (ts[i], xs[i]).
-
-    Returns the values, shape (P, q, n): one n-vector per point and branch
-    j = 0..q-1 (the lifts over t + j); and the truncation error bound of
-    the lattice sums at each point, shape (P,).  Work that depends on t
-    alone is done once per distinct t.  Raises NumericsError when a
-    coefficient's lattice sum is not finite.
-    """
+def _coefficient_values(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Each of the C coefficients' transforms at the P mirror points
+    (ts[i], xs[i]): the values, shape (P, C, q, n), and the truncation
+    bounds, shape (P, C, q), zero on circles."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if ts.shape != xs.shape:
         raise ValidationError(f"got {ts.size} t values but {xs.size} xdual values")
     g = sec.parent.graph
-    values = np.zeros((ts.size, g.q, sec.parent.rank), dtype=complex)
-    bound = np.zeros(ts.size)
+    values = np.zeros((ts.size, len(sec.coefficients), g.q, sec.parent.rank), dtype=complex)
+    tails = np.zeros(values.shape[:-1])
     for rows in (slice(lo, lo + BATCH_CHUNK) for lo in range(0, ts.size, BATCH_CHUNK)):
         distinct, where = np.unique(ts[rows], return_inverse=True)
         t_branch = distinct[:, None] + np.arange(g.q)
-        for coeff in sec.coefficients:
+        for c, coeff in enumerate(sec.coefficients):
             if coeff.component.kind == LINE:
-                sums, tails = _line_sums(coeff, t_branch, where, xs[rows], sec.K)
-                values[rows] += sums
-                bound[rows] = np.maximum(bound[rows], tails.max(axis=-1))
+                values[rows, c], tails[rows, c] = _line_sums(coeff, t_branch, where, xs[rows], sec.K)
             else:
                 flat, twist = coeff.flat_and_twist(t_branch)
-                heights = coeff.component.height(t_branch)
-                kern = np.exp(twist[where] + 2j * math.pi * xs[rows, None] * heights[where])
-                values[rows] += flat[where] * kern[..., None]
-    return values, bound
+                heights = coeff.component.height(t_branch)[where]
+                kern = np.exp(twist[where] + 2j * math.pi * xs[rows, None] * heights)
+                values[rows, c] = flat[where] * kern[..., None]
+    return values, tails
+
+
+def theta_eval_batch(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarray]:
+    """The section at the P mirror points (ts[i], xs[i]): the values, shape
+    (P, q, n), one n-vector per point and branch j = 0..q-1 (the lifts over
+    t + j) summed over the coefficients; and the truncation bound, shape
+    (P,), the largest over branches of the coefficients' summed bounds.
+    Raises NumericsError when a coefficient's lattice sum is not finite."""
+    values, tails = _coefficient_values(sec, ts, xs)
+    return values.sum(axis=1), tails.sum(axis=1).max(axis=-1)
 
 
 def theta_eval(sec: ThetaSection, point: MirrorPoint) -> ThetaValue:
@@ -294,10 +297,11 @@ def dbar_residuals(sec: ThetaSection, points, h: float = 1e-3) -> np.ndarray:
     In the branch trivialization the operator is
     dbar_z + pi * xdual * Y'(t + j), with dbar_z = (d/dxdual + i d/dt)/2;
     every lattice term is annihilated exactly, so the residual measures only
-    discretization error.  A point's residual is the max over branches of
-    |residual| normalized by the largest section magnitude on its stencil; a
-    section with coefficients that vanishes on a stencil raises NumericsError.
-    The nine stencil points of every point are evaluated as one batch.
+    discretization error.  A point's residual is the max over coefficients
+    and branches of |residual| normalized by that coefficient's largest
+    magnitude on the stencil, out of reach of the summed section's
+    cancellation; a coefficient that vanishes on a stencil raises
+    NumericsError.  The nine stencil points of every point are one batch.
     """
     g = sec.parent.graph
     for point in points:
@@ -311,20 +315,15 @@ def dbar_residuals(sec: ThetaSection, points, h: float = 1e-3) -> np.ndarray:
     steps = np.array([-2, -1, 1, 2]) * h
     ts = np.concatenate((t, np.repeat(t, 4, axis=1), t + steps), axis=1)
     xs = np.concatenate((x, x + steps, np.repeat(x, 4, axis=1)), axis=1)
-    values, _ = theta_eval_batch(sec, ts.ravel(), xs.ravel())
-    values = values.reshape(ts.shape + values.shape[1:]).swapaxes(0, 1)  # (9, P, q, n)
-    center = values[0]
-    d_x = _fd4(values[1:5], h)
-    d_t = _fd4(values[5:9], h)
-
-    scale = np.max(np.abs(values), axis=(0, 2, 3))
-    dbar = 0.5 * (d_x + 1j * d_t)
-    residual = dbar + math.pi * x[..., None] * g.slope(t + np.arange(g.q))[..., None] * center
-    worst = np.max(np.abs(residual), axis=(1, 2))
-    flat = scale < 1e-300
-    if sec.coefficients and flat.any():
-        raise NumericsError(f"the section vanishes on the dbar stencil at {points[int(np.argmax(flat))]}")
-    return np.where(flat, 0.0, worst / np.where(flat, 1.0, scale))
+    values, _ = _coefficient_values(sec, ts.ravel(), xs.ravel())
+    values = values.reshape(ts.shape + values.shape[1:]).swapaxes(0, 1)  # (9, P, C, q, n)
+    dbar = 0.5 * (_fd4(values[1:5], h) + 1j * _fd4(values[5:9], h))
+    slope = g.slope(t + np.arange(g.q))[:, None, :, None]
+    worst = np.max(np.abs(dbar + math.pi * x[..., None, None] * slope * values[0]), axis=(2, 3))
+    scale = np.max(np.abs(values), axis=(0, 3, 4))  # (P, C)
+    if np.any(scale < 1e-300):
+        raise NumericsError(f"the section vanishes on the dbar stencil at {points[int(np.argmin(scale.min(axis=1)))]}")
+    return np.max(worst / scale, axis=1, initial=0.0)
 
 
 def dbar_residual(sec: ThetaSection, point: MirrorPoint, h: float = 1e-3) -> float:

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from conftest import package_env, random_unitary
 from torusmirror.app import (
     DBAR_SAMPLE_POINTS,
     DBAR_STEP,
-    DBAR_STEP_MIN,
     _MARGIN,
     _SPAN,
     Scene,
@@ -29,7 +29,7 @@ from torusmirror.app import (
 )
 from torusmirror.cli import main
 from torusmirror.errors import TransversalityError, ValidationError
-from torusmirror.fourier import MirrorPoint, ThetaSection, dbar_residual, standard_section
+from torusmirror.fourier import MirrorPoint, ThetaSection, dbar_residual, dbar_residuals, standard_section
 from torusmirror.geometry import LagrangianGraph, object_geometry
 
 
@@ -62,6 +62,7 @@ def write_scene(tmp_path, data, name="scene.json"):
 O13_WIGGLE = [(1, 0.46332, -0.13668), (2, -0.28601, 0.01399), (3, -0.02287, -0.17713), (4, 0.00487, 0.14513)]
 O13_MONODROMY = [[[0.6, 0.0], [0.0, 0.8]], [[0.0, 0.8], [0.6, 0.0]]]
 O13 = object_dict(id="o13", p=3, c=0.58028, wiggle=O13_WIGGLE, monodromy=O13_MONODROMY)
+DATA = Path(__file__).parent / "data"
 TANGENTIAL = object_dict(id="tangent", c=-0.5, wiggle=[(1, 0.0, 1.0 / (2 * math.pi))])
 
 
@@ -246,27 +247,28 @@ class TestRunVerify:
         assert good["pass"] and not good["errors"]
         assert report["pass"] is False
 
-    def test_dbar_step_retry_clears_stencil_error(self):
-        # four harmonics: at h = 1e-3 the stencil's own O(h^4) error is ~1e-5
+    def test_dbar_step_from_the_slope_clears_stencil_error(self):
+        # four harmonics: S = 3 + 2 pi * 2.4 bounds |Y'|, so the rate model
+        # takes h = DBAR_STEP / 8; at DBAR_STEP the stencil's own O(h^4) error
+        # is over the tolerance
         scene = scene_from_dict(scene_dict(O13))
         section = standard_section(scene.objects[0])
         coarse = max(dbar_residual(section, MirrorPoint(t, x), DBAR_STEP) for t, x in DBAR_SAMPLE_POINTS)
         assert coarse > scene.params.dbar_tol
         entry = run_verify(scene).objects[0]
         assert entry["pass"] and entry["checks"]["dbar_ok"]
-        assert entry["dbar_step"] == DBAR_STEP / 2
+        assert entry["dbar_step"] == DBAR_STEP / 8
         assert entry["dbar_residual_max"] <= scene.params.dbar_tol
 
-    def test_dbar_step_retry_takes_the_first_step_within_tolerance(self):
-        # residuals 2.0e-6 at h = 2.5e-4, then 2.3e-7 at h = 1.25e-4: the finer
-        # step is within tolerance although it fell less than 12-fold
+    def test_dbar_step_from_the_slope_passes_the_p20_line(self):
+        # S = 20 gives rate 2 pi (0.6 * 20 + sqrt(20)) = 103.5, and h = DBAR_STEP / 8
         scene = scene_from_dict(scene_dict(object_dict(id="steep", p=20, c=0.3)))
         entry = run_verify(scene).objects[0]
         assert entry["pass"], (entry["checks"], entry["errors"])
-        assert entry["dbar_step"] == DBAR_STEP_MIN
+        assert entry["dbar_step"] == DBAR_STEP / 8
         assert entry["dbar_residual_max"] <= scene.params.dbar_tol
 
-    def test_dbar_step_retry_keeps_a_real_fault(self, monkeypatch):
+    def test_dbar_step_from_the_slope_keeps_a_real_fault(self, monkeypatch):
         import torusmirror.app as app
 
         tt = scene_from_dict(scene_dict(O13)).objects[0]
@@ -276,14 +278,59 @@ class TestRunVerify:
         )
         # coefficients of a slightly different curve: not holomorphic for tt
         wrong = ThetaSection(tt, standard_section(perturbed.objects[0]).coefficients)
-        h = DBAR_STEP
-        while h >= DBAR_STEP_MIN:
-            assert max(dbar_residual(wrong, MirrorPoint(t, x), h) for t, x in DBAR_SAMPLE_POINTS) > 1e-6
-            h /= 2
+        residual, h = app.dbar_check(wrong, 1e-6)
+        assert h == DBAR_STEP / 8 and residual > 1e-6
         monkeypatch.setattr(app, "standard_section", lambda tt, K: wrong)
         entry = run_verify(Scene((tt,))).objects[0]
         assert not entry["checks"]["dbar_ok"] and not entry["pass"]
-        assert entry["dbar_residual_max"] > 1e-6
+        assert entry["dbar_residual_max"] == residual
+
+    def test_steep_q1_lines_pass(self):
+        # the summed section cancels to e^(-pi p d(x, Z)^2) of its terms' sizes,
+        # and a stencil on the sum reads the lost digits as a fault; each
+        # coefficient alone does not cancel
+        objects = [object_dict(id=f"p{p}", p=p, c=0.3) for p in (25, 30, 40, 60, 100)]
+        report = run_verify(scene_from_dict(scene_dict(*objects)))
+        for entry in report.objects:
+            assert entry["pass"], (entry["id"], entry["checks"], entry["errors"], entry["dbar_residual_max"])
+
+    def test_dbar_check_reads_an_injected_fault_at_every_slope(self, monkeypatch):
+        # a factor e^(eps t) in every horizontal section adds i eps / 2 times
+        # the section to its dbar
+        import torusmirror.localsys as localsys
+
+        eps, real = 1e-5, localsys.twist_exponent
+        monkeypatch.setattr(localsys, "twist_exponent", lambda comp, t0, t1: real(comp, t0, t1) + eps * (t1 - t0))
+        mixed = load_scene(DATA / "verify_mixed_7.json")
+        lines = scene_from_dict(scene_dict(*(object_dict(id=f"p{p}", p=p, c=0.3) for p in (30, 100))))
+        objects = [tt for tt in mixed.objects if tt.graph.p > 0] + list(lines.objects)
+        assert len(objects) == 9
+        for entry in run_verify(Scene(tuple(objects))).objects:
+            assert entry["checks"]["dbar_ok"] is False, entry["id"]
+            assert entry["dbar_residual_max"] == pytest.approx(eps / 2, rel=0.01), entry["id"]
+
+    def test_dbar_stencil_error_within_the_rate_model(self):
+        # every coefficient's residual at one fixed step stays within
+        # lam^5 h^4 / 30, lam = 2 pi (0.6 S + sqrt(S)), the model dbar_check
+        # takes its step from: steep lines, harmonics, and the benchmark scenes
+        def rate(g):
+            slope = g.p / g.q + sum(2 * math.pi * w.m / g.q * (abs(w.a) + abs(w.b)) for w in g.wiggle)
+            return 2 * math.pi * (0.6 * slope + math.sqrt(slope))
+
+        curves = [object_dict(id=f"p{p}", p=p, c=0.3) for p in (1, 2, 3, 5, 10, 20, 25, 30, 40, 60, 100)]
+        curves += [
+            object_dict(id="p40q3", p=40, q=3, c=0.3),
+            O13,
+            object_dict(id="two", p=2, q=3, c=0.1, wiggle=[(1, 0.03, 0.02), (3, -0.02, 0.04)]),
+            object_dict(id="wiggle", c=0.5, wiggle=[(1, 0.0, 0.5)]),
+        ]
+        objects = list(scene_from_dict(scene_dict(*curves)).objects)
+        for name in ("verify_mixed_7", "verify_mixed_13", "crossing_dense_7", "crossing_dense_13"):
+            objects += [tt for tt in load_scene(DATA / f"{name}.json").objects if tt.graph.p > 0]
+        points, h = [MirrorPoint(t, x) for t, x in DBAR_SAMPLE_POINTS], 2.5e-4
+        for tt in objects:
+            residual = float(np.max(dbar_residuals(standard_section(tt), points, h)))
+            assert residual <= rate(tt.graph) ** 5 * h**4 / 30, tt.id
 
     def test_broken_complex_fails_analytic_agreement(self, monkeypatch):
         import torusmirror

@@ -31,7 +31,7 @@ from torusmirror.fourier import (
 from torusmirror.geometry import lift_components
 from torusmirror.localsys import LocalSystem, TwistedTransport, trivial_system
 
-from conftest import make_graph
+from conftest import make_graph, random_unitary
 
 CANONICAL_THETA_00 = 1.0864348112133080  # sum over k of exp(-pi k^2), frozen
 
@@ -407,6 +407,37 @@ def test_peak_reach_bounds_the_largest_lift(tt, t):
             assert abs(shifts[np.nanargmax(log_mag)]) <= coeff.peak_reach
 
 
+@pytest.mark.parametrize("unitary", [True, False], ids=["unitary", "general"])
+def test_peak_reach_from_one_svd_matches_the_two_norms(rng, unitary):
+    # L = max(log|T|_2, log|T^-1|_2) is the largest |log| of T's singular values
+    for _ in range(30):
+        n, (p, q) = int(rng.integers(1, 4)), [(1, 1), (2, 1), (1, 3)][int(rng.integers(3))]
+        if unitary:
+            mono = random_unitary(n, rng)
+        else:
+            mono = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * math.exp(rng.uniform(-40, 40))
+        tt = TwistedTransport(make_graph(p=p, q=q, c=0.2), LocalSystem(mono))
+        coeff = HorizontalCoefficient(tt.system, tt.geometry.components[0], 0.0, np.eye(n)[0])
+        big_l = max(math.log(np.linalg.norm(m, 2)) for m in (mono, np.linalg.inv(mono)))
+        assert coeff.peak_reach == 1 + math.floor(max(0.0, big_l) / (2 * math.pi * p * q))
+
+
+def test_truncation_bound_sums_the_coefficients_tails():
+    # a branch's value errs by the sum of its coefficients' tails, so the
+    # bound is the largest branch sum, not the largest single tail
+    g = make_graph(p=3, q=1, c=0.2, wiggle=[(1, 0.05, -0.03)])
+    sec = standard_section(TwistedTransport(g, LocalSystem([[0.6, 0.8j], [0.8j, 0.6]])), K=1)
+    ts, xs = np.array([0.15, 0.35, 0.8]), np.array([0.2, 0.6, -0.3])
+    _, bound = theta_eval_batch(sec, ts, xs)
+    t_branch, where = ts[:, None] + np.arange(g.q), np.arange(ts.size)
+    tails = [fourier._line_sums(coeff, t_branch, where, xs, sec.K)[1] for coeff in sec.coefficients]
+    assert len(tails) == 3 and np.all(np.min(tails, axis=0) > 0.0)
+    np.testing.assert_allclose(bound, np.sum(tails, axis=0).max(axis=-1), rtol=1e-15)
+    # each coefficient twice: twice the error, twice the bound
+    _, doubled = theta_eval_batch(ThetaSection(sec.parent, sec.coefficients * 2, sec.K), ts, xs)
+    np.testing.assert_allclose(doubled, 2.0 * bound, rtol=1e-15)
+
+
 def test_theta_batch_refuses_an_overflowing_lattice_sum():
     # log|T^k| = 2*pi*a*k against the weight -pi*k^2 puts the peak a shifts
     # from the nominal one; peak_reach = 1 + floor(a) widens the window to it
@@ -432,7 +463,7 @@ def test_dbar_residual_is_one_batch(monkeypatch):
     tt = TwistedTransport(g, LocalSystem([[0.6, 0.8j], [0.8j, 0.6]]))
     sec = standard_section(tt)
     batches, powers = [], []
-    batch, matrix_power = fourier.theta_eval_batch, np.linalg.matrix_power
+    batch, matrix_power = fourier._coefficient_values, np.linalg.matrix_power
 
     def counted_batch(*args):
         batches.append(args)
@@ -442,7 +473,7 @@ def test_dbar_residual_is_one_batch(monkeypatch):
         powers.append(args)
         return matrix_power(*args)
 
-    monkeypatch.setattr(fourier, "theta_eval_batch", counted_batch)
+    monkeypatch.setattr(fourier, "_coefficient_values", counted_batch)
     monkeypatch.setattr(np.linalg, "matrix_power", counted_power)
     dbar_residual(sec, MirrorPoint(0.35, 0.2))
     assert len(batches) == 1 and len(batches[0][1]) == 9
@@ -461,13 +492,13 @@ def test_dbar_residuals_match_one_point_calls_in_one_batch(monkeypatch):
         assert dbar_residuals(sec, points, h).tolist() == one_by_one
 
     batches = []
-    batch = fourier.theta_eval_batch
+    batch = fourier._coefficient_values
 
     def counted_batch(*args):
         batches.append(len(args[1]))
         return batch(*args)
 
-    monkeypatch.setattr(fourier, "theta_eval_batch", counted_batch)
+    monkeypatch.setattr(fourier, "_coefficient_values", counted_batch)
     residual, h = dbar_check(sec, 1.0)
     assert batches == [9 * len(points)] and h == 1e-3
     assert residual == max(dbar_residual(sec, pt, h) for pt in points)

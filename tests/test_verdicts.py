@@ -2,8 +2,10 @@
 dimension, check and verdict.
 
 tests/data holds the verify_mixed and crossing_dense scenes at seeds 7 and
-13, written by perfbench/scenes.py, and verdicts.json the report fields of
-each that carry no float measurement: the floats are dbar_residual_max and
+13, written by perfbench/scenes.py; edge.json, valid objects at each
+route's limit (steep q = 1 lines, far circles, tall harmonic circles),
+failures included; and verdicts.json the report fields of each that carry
+no float measurement: the floats are dbar_residual_max and
 d_route_max_diff, which move within their checks' tolerances.  A change
 that means to alter a verdict rewrites verdicts.json with
 `python tests/test_verdicts.py` and says why.
@@ -17,7 +19,7 @@ import pytest
 from torusmirror.app import load_scene, run_verify
 
 DATA = Path(__file__).parent / "data"
-SCENES = ("verify_mixed_7", "verify_mixed_13", "crossing_dense_7", "crossing_dense_13")
+SCENES = ("verify_mixed_7", "verify_mixed_13", "crossing_dense_7", "crossing_dense_13", "edge")
 FLOATS = {"dbar_residual_max", "d_route_max_diff"}
 
 
