@@ -15,7 +15,11 @@ form one fixed window: K + R shifts either side of the lift nearest the
 vertex of the quadratic weight, where R is the coefficient's peak_reach,
 a bound on how far its largest lift can lie from that one.  None of that
 depends on the dual coordinate, so only the kernel weight and the sum are
-computed per point.  theta_eval_batch sums the coefficients; theta_eval,
+computed per point, and only over the lifts that can be nonzero: the
+leading shifts of the window up to the last one where some distinct t has
+log|T^k v| + twist >= LOG_UNDERFLOW = -760, below which a term rounds to
+exactly 0.  Leaving out those zeros moves the values only by summation
+order.  theta_eval_batch sums the coefficients; theta_eval,
 tensor_compat_check and app.sample_section call it.
 
 dbar_residuals differences each coefficient's nine values on a
@@ -46,6 +50,9 @@ BATCH_CHUNK = 1024
 #: relative defect |hol v - v| below which a circle coefficient's vector
 #: counts as fixed by the twisted monodromy
 CIRCLE_FIXED_TOL = 1e-9
+#: log-magnitude of a lattice term below which it rounds to exactly 0 in
+#: double precision: e^-760 is under 2^-1075, half the least subnormal
+LOG_UNDERFLOW = -760.0
 
 
 @dataclass(frozen=True)
@@ -219,6 +226,11 @@ def _line_sums(
     bounds how far from m0 the coefficient's largest lift can lie.  Only the
     kernel weight exp(2*pi*i * xdual * v) depends on xdual; the lifts, flat
     transports, twists and tail bound are computed once per distinct row.
+    The per-point kernel, product and sum stop at the last shift where some
+    distinct row has log|T^k v| + twist >= LOG_UNDERFLOW (-760): every term
+    past it is under 2^-1075 and rounds to exactly 0, so the values move only
+    by summation order, and the tail bound is unchanged.  A shift whose
+    log-magnitude is not finite is always kept.
     Raises NumericsError when a sum is not finite (T^k v or the area weight
     overflows).
     """
@@ -230,9 +242,15 @@ def _line_sums(
     s = t_branch[..., None] + g.q * (m0[..., None] + np.array(shifts))
     with np.errstate(over="ignore", invalid="ignore"):
         flat, twist = coeff.flat_and_twist(s)
-        heights = comp.height(s[..., :-2])[where]
-        weight = np.exp(twist[..., :-2][where] + 2j * math.pi * xdual[:, None, None] * heights)
-        sums = (flat[..., :-2, :][where] * weight[..., None]).sum(axis=-2)
+        log_mag = log_norm(flat[..., :-2, :]) + twist[..., :-2]
+        # a non-finite log-magnitude stays live, so 0 * inf still sums to NaN
+        live = (log_mag >= LOG_UNDERFLOW) | ~np.isfinite(log_mag)
+        cut = 1 + np.max(np.flatnonzero(live.any(axis=(0, 1))), initial=0)
+        heights = comp.height(s[..., :cut])[where]
+        weight = np.exp(twist[..., :cut][where] + 2j * math.pi * xdual[:, None, None] * heights)
+        # sequential, so the exact zeros past a row's own last live column
+        # leave its sum bit-equal whatever cut the rest of the batch needs
+        sums = (flat[..., :cut, :][where] * weight[..., None]).cumsum(axis=-2)[..., -1, :]
         tail_norms = np.exp(log_norm(flat[..., -2:, :]) + twist[..., -2:])
     if not np.all(np.isfinite(sums)):
         raise NumericsError(

@@ -373,6 +373,10 @@ def _crossing_scan(graph: LagrangianGraph, comps) -> list[list[IntersectionPoint
     lo = min(_scan_interval(comp)[0] for comp in comps)
     hi = max(_scan_interval(comp)[1] for comp in comps)
     tcs = _critical_points(graph, lo, hi)
+    # a root pair z, 1/conj(z) of z^M Y' off the unit circle gives two knots
+    # a few ulps apart, and rounding noise in Y can put a crossing on both
+    # sides of that sliver: keep the first knot of any run within ROOT_TOL
+    tcs = tcs[np.diff(tcs, prepend=-math.inf) > ROOT_TOL]
 
     if circle:
         if not len(tcs):

@@ -12,6 +12,7 @@ import pytest
 from conftest import package_env, random_unitary
 
 from torusmirror.app import (
+    D_ROUTE_TOL,
     DBAR_SAMPLE_POINTS,
     DBAR_STEP,
     _MARGIN,
@@ -308,6 +309,23 @@ class TestRunVerify:
         for entry in run_verify(Scene(tuple(objects))).objects:
             assert entry["checks"]["dbar_ok"] is False, entry["id"]
             assert entry["dbar_residual_max"] == pytest.approx(eps / 2, rel=0.01), entry["id"]
+
+    def test_d_routes_read_an_injected_twist_fault(self, monkeypatch):
+        # Floer's arc weights come from the area quadrature, the boundary route's
+        # from localsys.twist_exponent, so a factor e^(eps t) in the latter must
+        # split the two routes; only a differential with entries shows it, and
+        # each crossing_dense object has crossings of both signs on a component
+        import torusmirror.localsys as localsys
+
+        scene = load_scene(DATA / "crossing_dense_7.json")
+        for tt in scene.objects:
+            assert any({pt.sign for pt in points} == {-1, 1} for points in tt.geometry.crossings), tt.id
+        assert all(entry["checks"]["d_routes_agree"] for entry in run_verify(scene).objects)
+        eps, real = 1e-5, localsys.twist_exponent
+        monkeypatch.setattr(localsys, "twist_exponent", lambda comp, t0, t1: real(comp, t0, t1) + eps * (t1 - t0))
+        for entry in run_verify(scene).objects:
+            assert entry["checks"]["d_routes_agree"] is False and entry["pass"] is False, entry["id"]
+            assert entry["d_route_max_diff"] > 100 * D_ROUTE_TOL, entry["id"]
 
     def test_dbar_stencil_error_within_the_rate_model(self):
         # every coefficient's residual at one fixed step stays within

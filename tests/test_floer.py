@@ -112,6 +112,8 @@ def test_seam_crossing_arcs_scale_with_scalar():
     b1=st.floats(-0.35, 0.35),
     b2=st.floats(-0.1, 0.1),
 )
+# the crossing at t = 0.25 lies on a double knot of the scan
+@example(p=-1, a1=-0.095703125, b1=0.0, b2=-0.02734375)
 def test_hamiltonian_invariance(p, a1, b1, b2):
     straight = build_complex(brane(p=p, c=0.25))
     try:

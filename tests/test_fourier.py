@@ -28,8 +28,8 @@ from torusmirror.fourier import (
     theta_eval_batch,
     unit_object,
 )
-from torusmirror.geometry import lift_components
-from torusmirror.localsys import LocalSystem, TwistedTransport, trivial_system
+from torusmirror.geometry import LiftComponent, lift_components
+from torusmirror.localsys import LocalSystem, TwistedTransport, log_norm, trivial_system
 
 from conftest import make_graph, random_unitary
 
@@ -456,6 +456,59 @@ def test_theta_batch_refuses_an_overflowing_lattice_sum():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericsError, match="steep/r0"):
             theta_eval(sec, MirrorPoint(0.3, 0.2))
+
+
+def full_window_terms(coeff, t_branch, where, xdual, K):
+    """Every term of _line_sums' window, computed as before the per-point
+    work stopped at the last live lift: the terms (P, q, 2(K + R) + 1, n),
+    in the window's ascending-|shift| order, and the truncation bounds (P, q)."""
+    comp, g = coeff.component, coeff.component.parent
+    reach = K + coeff.peak_reach
+    shifts = [0] + [sign * d for d in range(1, reach + 1) for sign in (1, -1)] + [-(reach + 1), reach + 1]
+    s = t_branch[..., None] + g.q * (np.rint((comp.vertex - t_branch) / g.q)[..., None] + np.array(shifts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat, twist = coeff.flat_and_twist(s)
+        kern = 2j * math.pi * xdual[:, None, None] * comp.height(s[..., :-2])[where]
+        terms = flat[..., :-2, :][where] * np.exp(twist[..., :-2][where] + kern)[..., None]
+        tails = np.exp(log_norm(flat[..., -2:, :]) + twist[..., -2:])
+    return terms, coeff.tail_bound(tails[..., 0], tails[..., 1])[where]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tt=st.one_of(positive_objects(), steep_objects()),
+    K=st.sampled_from([4, 25]),
+    points=st.lists(st.tuples(st.floats(0.0, 0.999), st.floats(-1.0, 1.0)), min_size=1, max_size=4),
+)
+# T^k v overflows in the window's far lifts, where the weight is 0: 0 * inf
+@example(tt=TwistedTransport(make_graph(p=1, q=1), LocalSystem([[math.exp(2 * math.pi * 4.0)]])), K=25, points=[(0.3, 0.2)])
+def test_line_sums_match_the_full_window(tt, K, points):
+    ts, xs = np.array(points).T
+    distinct, where = np.unique(ts, return_inverse=True)
+    t_branch = distinct[:, None] + np.arange(tt.graph.q)
+    height, lifts = LiftComponent.height, []
+
+    def spied(self, t):
+        lifts.append(np.shape(t)[-1])
+        return height(self, t)
+
+    for coeff in standard_section(tt, K).coefficients:
+        terms, bounds = full_window_terms(coeff, t_branch, where, xs, K)
+        if not np.all(np.isfinite(terms.sum(axis=-2))):
+            with pytest.raises(NumericsError, match="not finite"):
+                fourier._line_sums(coeff, t_branch, where, xs, K)
+            continue
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LiftComponent, "height", spied)
+            values, got_bounds = fourier._line_sums(coeff, t_branch, where, xs, K)
+        # the kernel ran on the leading lifts only; every lift left out was exactly 0
+        assert not np.any(terms[..., lifts[-1]:, :])
+        assert np.array_equal(got_bounds, bounds, equal_nan=True)
+        assert np.all(np.abs(values - terms.sum(axis=-2)) <= 1e-14 * np.abs(terms).sum(axis=-2))
+        # a point alone has the same bits as in the batch, whatever cut the batch took
+        for i in range(len(points)):
+            alone, _ = fourier._line_sums(coeff, t_branch[where[i] : where[i] + 1], np.zeros(1, int), xs[i : i + 1], K)
+            assert np.array_equal(alone[0], values[i])
 
 
 def test_dbar_residual_is_one_batch(monkeypatch):

@@ -157,6 +157,19 @@ def test_circle_root_just_below_the_seam_reads_zero():
     assert [(pt.t0, pt.sign) for pt in points] == [(0.0, 1), (pytest.approx(0.5 + 1e-10, abs=1e-12), -1)]
 
 
+def test_crossing_on_a_double_knot_is_found_once():
+    # Y' = -1 + W' never vanishes, but z^M Y' has two root pairs z, 1/conj(z)
+    # off the unit circle, at angles 0.25 and 0.75 of a turn, so each is a
+    # knot twice, a few ulps apart.  The one crossing sits at t = 0.25, where
+    # Y is rounding noise: -1.5e-17 and +2.1e-18 at the two knots
+    g = make_graph(p=-1, q=1, c=0.25, wiggle=[(1, -0.095703125, 0.0), (2, 0.0, -0.02734375)])
+    knots = _critical_points(g, *_scan_interval(lift_components(g)[0]))
+    assert np.count_nonzero(np.abs(knots - 0.25) < 1e-15) == 2
+    (points,) = object_geometry(g).crossings
+    assert [(pt.t0, pt.sign) for pt in points] == [(pytest.approx(0.25, abs=1e-12), -1)]
+    assert signed_crossing_count(g) == -1
+
+
 def test_straight_line_single_crossing():
     g = make_graph(p=1, q=1, c=0.25)
     (comp,) = lift_components(g)
