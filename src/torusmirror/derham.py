@@ -6,15 +6,16 @@ giving (n, 0) per line, and grows for p < 0, giving (0, n); a circle gives
 (k, k) for an eigenvalue-1 block of size k of its twisted monodromy.  The
 explicit integral solver is spot-checked against exact solutions.  The
 discretized route puts the covariant derivative on a midpoint grid per
-line, with the seam matrix where the lattice meets t in q*Z.  Its index is
-+-n by shape; a block LDL^H factor of the full-rank side's Gram certifies
-the singular-value margin of that side, which fixes kernel and cokernel.
-Away from the seams the operator is a scalar times I, so the Gram is a
-real scalar tridiagonal with one block per seam (for p < 0, read
-backwards): the factor runs LAPACK dpttrf on each stretch between seams,
-all n channels in one call, and one n x n eigh per seam.  Circles reduce
-to the discrete loop propagator P, whose fixed space counts the singular
-values of P - I within its own defect bound, or is 0 by moduli alone.
+line, with the seam matrix T where the lattice meets t in q*Z.  A line is
+contractible, so the gauge that carries each node into the frame before
+the first seam turns its operator into the scalar operator D0 times I_n,
+and the line is certified on D0: its index is +-1 by shape, and an LDL^T
+factor of the full-rank side's real tridiagonal Gram (for p < 0, read
+backwards) certifies the singular-value margin of that side, which fixes
+kernel and cokernel.  The factor is one LAPACK dpttrf call, scipy's one
+runtime use.  T enters circles only: they reduce to the discrete loop
+propagator P = T lambda_h, whose fixed space counts the singular values
+of P - I within its own defect bound, or is 0 by moduli alone.
 
 classify_components cuts every component at its negative crossings, for
 the derham CLI's case table.  Case tags: case1 = closed circle (no
@@ -284,41 +285,23 @@ def analytic_dims(tt: TwistedTransport, rank_tol: float = RANK_TOL) -> tuple[int
 # -- discretized route --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _LineGram:
-    """The full-rank side's Gram G of one line, block tridiagonal with n x n
-    blocks.  diag[i] and sub[i] are G[i, i] and G[i + 1, i] as scalars
-    times I; at each special row rows[k] the diagonal block is blocks[k]
-    and the coupling G[r, r - 1] is into[k] (zero at r = 0), in full."""
+def _line_tridiagonal(comp: LiftComponent, lo: float, hi: float, hp: float, res: int) -> tuple[np.ndarray, np.ndarray]:
+    """The full-rank side's Gram of the scalar midpoint operator D0 = d/dt +
+    2*pi*Y~ on [lo, hi]: its diagonal and subdiagonal.
 
-    diag: np.ndarray
-    sub: np.ndarray
-    rows: np.ndarray
-    blocks: np.ndarray
-    into: np.ndarray
-
-
-def _line_tridiagonal(
-    comp: LiftComponent, t_mono: np.ndarray, lo: float, hi: float, hp: float, res: int
-) -> _LineGram:
-    """The full-rank side's Gram of the midpoint operator D = d/dt + 2*pi*Y~.
-
-    Row i of D is left_i A_i on node i and right_i on node i+1.  Nodes sit
-    at lattice midpoints, so each row's center is a lattice point: where it
-    lies on q*Z (a seam), A_i is the flat seam matrix T, elsewhere I.  For
-    p > 0, D has n fewer rows than columns, and every block of G = D D^H
-    is a scalar times I but at seam row s: the diagonal left^2 T T^H +
-    right^2 I and the coupling right_{s-1} left_s T; T need not be
-    unitary.  For p < 0, D has decay rows 1/hp at both ends, and D^H D =
-    B B^H for B = J D^H J, J reversing the nodes, which has the p > 0
-    shape with (left, 1/hp) and (1/hp, right) read backwards, seams at
-    count - s and T^H: so the p > 0 assembly builds J G J, which has G's
-    singular values and row sums.  For n = 1 the phase gauge x_i -> x_i u_i
-    with |u_i| = 1 turns every coupling e into |e|, so the seams fold into
-    the scalar arrays and no row is special.  Y~ is evaluated once per
-    lattice phase the window holds; Y~(t + q) = Y~(t) + p gives the rest."""
+    Row i of D0 is left_i on node i and right_i on node i+1.  On n-vectors
+    the row's node-i entry is left_i T where its lattice-point center lies
+    on q*Z (a seam), and the gauge x_j = P_j y_j, P_j = T^(seams before node
+    j), turns that operator into blockdiag(P_{i+1}) (D0 kron I_n) (the p < 0
+    decay rows take the first and last node's P): its rank is n rank D0 for
+    any invertible T, so a line is certified on D0 alone.  For p > 0, D0 has
+    one row fewer than columns and G = D0 D0^T.  For p < 0, D0 has decay
+    rows 1/hp at both ends, and D0^T D0 = B B^T for B = J D0^T J, J
+    reversing the nodes, which has the p > 0 shape with (left, 1/hp) and
+    (1/hp, right) read backwards: so the p > 0 assembly builds J G J, which
+    has G's singular values and row sums.  Y~ is evaluated once per lattice
+    phase the window holds; Y~(t + q) = Y~(t) + p gives the rest."""
     g = comp.parent
-    n = t_mono.shape[0]
     n_nodes = int(round((hi - lo) / hp))
     first = math.floor(lo / hp) + 1
     count, period = n_nodes - 1, g.q * res
@@ -326,83 +309,29 @@ def _line_tridiagonal(
     ys = (base + g.p * np.arange(-(-count // period))[:, None]).ravel()[:count]
     left = -1.0 / hp + math.pi * ys
     right = 1.0 / hp + math.pi * ys
-    seams = np.arange(-first % period, count, period)
     if g.p < 0:
         left, right = np.append(left, 1.0 / hp)[::-1], np.append(1.0 / hp, right)[::-1]
-        seams, t_mono = (count - seams)[::-1], t_mono.conj().T
-    scaled = left[seams, None, None] * t_mono
-    diag, sub = left * left + right * right, right[:-1] * left[1:]
-    blocks = scaled @ scaled.conj().transpose(0, 2, 1) + (right[seams] ** 2)[:, None, None] * np.eye(n)
-    into = np.where(seams > 0, right[seams - 1], 0.0)[:, None, None] * scaled
-    if n == 1:
-        diag[seams] = blocks[:, 0, 0].real
-        inner = seams > 0
-        sub[seams[inner] - 1] = np.abs(into[inner, 0, 0])
-        seams, blocks, into = seams[:0], blocks[:0], into[:0]
-    return _LineGram(diag, sub, seams, blocks, into)
+    return left * left + right * right, right[:-1] * left[1:]
 
 
-def _row_sum_bound(gram: _LineGram) -> float:
-    """Gershgorin bound of G: its largest absolute row sum, one per row and
-    channel.  A row sums its diagonal block, its coupling G[i, i - 1] and
-    G[i, i + 1] = G[i + 1, i]^H, whose rows are columns of G[i + 1, i]; a
-    scalar block adds its one magnitude to every channel."""
-    n = gram.blocks.shape[1]
-    mag = np.abs(gram.sub)
-    own, before, after = np.empty((3, n, len(gram.diag)))
-    own[:] = np.abs(gram.diag)
-    before[:, 0], before[:, 1:] = 0.0, mag
-    after[:, :-1], after[:, -1] = mag, 0.0
-    r, into = gram.rows, np.abs(gram.into)
-    own[:, r] = np.abs(gram.blocks).sum(axis=2).T
-    before[:, r] = into.sum(axis=2).T
-    after[:, r[r > 0] - 1] = into[r > 0].sum(axis=1).T
-    return float((own + before + after).max())
+def _row_sum_bound(diag: np.ndarray, sub: np.ndarray) -> float:
+    """Gershgorin bound of G: its largest absolute row sum |d_i| +
+    |s_(i-1)| + |s_i|."""
+    mag = np.abs(sub)
+    return float((np.abs(diag) + np.append(0.0, mag) + np.append(mag, 0.0)).max())
 
 
-def _factors(gram: _LineGram, sigma: float) -> bool:
-    """Whether G - sigma^2 I has a block LDL^H factor with positive
-    definite pivots, i.e. every singular value of the full-rank side
-    exceeds sigma.
+def _factors(diag: np.ndarray, sub: np.ndarray, sigma: float) -> bool:
+    """Whether G - sigma^2 I has an LDL^T factor with positive pivots, i.e.
+    every singular value of the full-rank side exceeds sigma: one LAPACK
+    dpttrf call, the recurrence mu <- d - e^2 / mu.  A non-positive or
+    non-finite pivot means no factor (dpttrf passes NaN pivots).  The
+    factor is backward stable, so rounding stays at O(eps * |G|), far below
+    the cutoff^2."""
+    from scipy.linalg.lapack import dpttrf  # loaded on first use, off the load path
 
-    The pivots are the Schur complements S_{i+1} = G_{i+1,i+1} - sigma^2 I
-    - E_i S_i^{-1} E_i^H, E_i = G[i + 1, i].  Between special rows every
-    block is a scalar times I, so S keeps the eigenbasis Q it had at the
-    last special row, and each of the n channels runs the scalar LDL^T
-    recurrence mu <- d - e^2 / mu: one dpttrf call on the segment's real
-    tridiagonal, the channels side by side with zero couplings between
-    them, each channel's first entry taking its e^2 / mu_j.  A special row
-    r forms S_r = G_rr - sigma^2 I - E Q diag(1/mu) Q^H E^H in full and
-    reads its eigenvalues and Q with eigh.  A non-positive or non-finite
-    pivot means no factor (dpttrf passes NaN pivots).  The factor is
-    backward stable, so rounding stays at O(eps * |G|), far below the
-    cutoff^2."""
-    from scipy.linalg.lapack import dpttrf, zheev  # loaded on first use, off the load path
-
-    n = gram.blocks.shape[1]
-    diag, sub = gram.diag - sigma * sigma, gram.sub
-    blocks = gram.blocks - sigma * sigma * np.eye(n)
-    basis, pivots = np.eye(n), np.full(n, np.inf)
-    start = 0
-    for stop, block, into in zip([*gram.rows, len(diag)], [*blocks, None], [*gram.into, None]):
-        if stop > start:
-            d = np.empty((n, stop - start))
-            d[:] = diag[start:stop]
-            if start:
-                d[:, 0] -= sub[start - 1] ** 2 / pivots
-            e = np.zeros((n, stop - start))
-            e[:, :-1] = sub[start : stop - 1]
-            d, _, info = dpttrf(d.ravel(), e.ravel()[:-1], overwrite_d=1, overwrite_e=1)
-            if info or not np.isfinite(d).all():
-                return False
-            pivots = d[stop - start - 1 :: stop - start]
-        if block is None:
-            return True
-        coupled = into @ basis
-        pivots, basis, info = zheev(block - (coupled / pivots) @ coupled.conj().T)
-        if info or not (np.isfinite(pivots).all() and pivots[0] > 0.0):
-            return False
-        start = stop + 1
+    d, _, info = dpttrf(diag - sigma * sigma, sub, overwrite_d=1)
+    return not info and bool(np.isfinite(d).all())
 
 
 def _validate_window(comp: LiftComponent, lo: float, hi: float) -> None:
@@ -422,21 +351,21 @@ def _validate_window(comp: LiftComponent, lo: float, hi: float) -> None:
 
 
 def _line_component_dims(
-    comp: LiftComponent, t_mono: np.ndarray, big_t: float, hp: float, res: int, rank_tol: float
+    comp: LiftComponent, n: int, big_t: float, hp: float, res: int, rank_tol: float
 ) -> tuple[int, int]:
     lo, hi = comp.vertex - big_t, comp.vertex + big_t
     _validate_window(comp, lo, hi)
-    gram = _line_tridiagonal(comp, t_mono, lo, hi, hp, res)
-    threshold = rank_tol * math.sqrt(_row_sum_bound(gram))
+    diag, sub = _line_tridiagonal(comp, lo, hi, hp, res)
+    threshold = rank_tol * math.sqrt(_row_sum_bound(diag, sub))
     # halve the shift until a factor exists; that brackets sigma_min / threshold
-    k = next((k for k in range(_MARGIN_HALVINGS) if _factors(gram, threshold * 2.0**-k)), _MARGIN_HALVINGS)
+    k = next((k for k in range(_MARGIN_HALVINGS) if _factors(diag, sub, threshold * 2.0**-k)), _MARGIN_HALVINGS)
     if k:
         low = 2.0**-k if k < _MARGIN_HALVINGS else 0.0
         raise NumericsError(
             f"component {comp.label}: the full-rank side has a singular value at or below "
             f"the cutoff {threshold:.3g}; margin sigma_min/cutoff in ({low:.3g}, {2.0 ** (1 - k):.3g}]"
         )
-    return (len(t_mono), 0) if comp.parent.p > 0 else (0, len(t_mono))
+    return (n, 0) if comp.parent.p > 0 else (0, n)
 
 
 def _circle_propagator_dims(comp: LiftComponent, t_mono: np.ndarray, hp: float, res: int) -> tuple[int, int]:
@@ -498,16 +427,17 @@ def discretized_dims(
     """Kernel and cokernel of the discretized covariant derivative.
 
     Lines live on [vertex - big_t, vertex + big_t] with nodes at lattice
-    midpoints, so every seam falls exactly between two nodes.  A line's
-    index is n (p > 0, no boundary rows) or -n (p < 0, decay rows at both
-    truncations) by shape.  A block LDL^H factor of the full-rank side's
-    Gram, shifted by the cutoff^2, certifies that no singular value lies at
-    or below rank_tol times the square root of the Gram's Gershgorin bound,
-    else NumericsError names the component and the margin.  The Gram is a
-    real scalar tridiagonal except at the seams, so the factor is one
-    LAPACK dpttrf call per stretch between seams, all n channels at once,
-    and one n x n eigh per seam.  Circles count the singular values of
-    P - I for the discrete loop propagator P within its defect bound.
+    midpoints, so every seam falls exactly between two nodes.  The seam
+    gauge makes a line's operator the scalar D0 times I_n, so each line
+    gives n times D0's kernel and cokernel, whatever T: an index of 1 (p >
+    0, no boundary rows) or -1 (p < 0, decay rows at both truncations) by
+    shape.  An LDL^T factor of D0's full-rank-side Gram, shifted by the
+    cutoff^2, certifies that no singular value lies at or below rank_tol
+    times the square root of the Gram's Gershgorin bound, else
+    NumericsError names the component and the margin; the Gram is a real
+    scalar tridiagonal, so the factor is one LAPACK dpttrf call.  Circles
+    count the singular values of P - I for the discrete loop propagator
+    P = T lambda_h within its defect bound.
     h must lie in (0, 1e-2], big_t be positive and rank_tol lie in (0, 1),
     all finite, else ValidationError.
     """
@@ -520,11 +450,10 @@ def discretized_dims(
         raise ValidationError(f"rank_tol = {rank_tol} must lie in (0, 1)")
     res = round(1.0 / h)
     hp = 1.0 / res
-    t_mono = tt.system.monodromy
     h0 = h1 = 0
     if tt.graph.p != 0:
         for comp in lift_components(tt.graph):
-            ker, coker = _line_component_dims(comp, t_mono, big_t, hp, res, rank_tol)
+            ker, coker = _line_component_dims(comp, tt.rank, big_t, hp, res, rank_tol)
             h0 += ker
             h1 += coker
     else:
@@ -532,7 +461,7 @@ def discretized_dims(
         shifts.update(_circle_candidate_shifts(tt))
         for shift in sorted(shifts):
             comp = LiftComponent(tt.graph, shift)
-            ker, coker = _circle_propagator_dims(comp, t_mono, hp, res)
+            ker, coker = _circle_propagator_dims(comp, tt.system.monodromy, hp, res)
             h0 += ker
             h1 += coker
     return h0, h1

@@ -231,8 +231,8 @@ def _line_sums(
     past it is under 2^-1075 and rounds to exactly 0, so the values move only
     by summation order, and the tail bound is unchanged.  A shift whose
     log-magnitude is not finite is always kept.
-    Raises NumericsError when a sum is not finite (T^k v or the area weight
-    overflows).
+    Raises NumericsError when a sum or a tail term is not finite (T^k v or
+    the area weight overflows).
     """
     comp = coeff.component
     g = comp.parent
@@ -252,10 +252,10 @@ def _line_sums(
         # leave its sum bit-equal whatever cut the rest of the batch needs
         sums = (flat[..., :cut, :][where] * weight[..., None]).cumsum(axis=-2)[..., -1, :]
         tail_norms = np.exp(log_norm(flat[..., -2:, :]) + twist[..., -2:])
-    if not np.all(np.isfinite(sums)):
+    if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(tail_norms))):
         raise NumericsError(
-            f"component {comp.label}: the lattice sum over {2 * reach + 1} lifts is not finite "
-            "(T^k v or the area weight overflows)"
+            f"component {comp.label}: the lattice sum over {2 * reach + 1} lifts or its tail bound "
+            "is not finite (T^k v or the area weight overflows)"
         )
     return sums, coeff.tail_bound(tail_norms[..., 0], tail_norms[..., 1])[where]
 
@@ -290,7 +290,8 @@ def theta_eval_batch(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarray]
     (P, q, n), one n-vector per point and branch j = 0..q-1 (the lifts over
     t + j) summed over the coefficients; and the truncation bound, shape
     (P,), the largest over branches of the coefficients' summed bounds.
-    Raises NumericsError when a coefficient's lattice sum is not finite."""
+    Raises NumericsError when a coefficient's lattice sum or tail bound is
+    not finite."""
     values, tails = _coefficient_values(sec, ts, xs)
     return values.sum(axis=1), tails.sum(axis=1).max(axis=-1)
 

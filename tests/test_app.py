@@ -1,5 +1,6 @@
 """Scene persistence, the verification report, CLI exit codes, SVG/CSV output."""
 
+import ast
 import json
 import math
 import re
@@ -738,3 +739,15 @@ def test_cli_import_leaves_out_scipy_integrate(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_the_one_scipy_import_is_dpttrf():
+    # the discretized route's LAPACK dpttrf is the package's one use of scipy
+    imports = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "torusmirror").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name, None) for alias in node.names if alias.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                imports += [(path.name, node.module, alias.name) for alias in node.names]
+    assert imports == [("derham.py", "scipy.linalg.lapack", "dpttrf")]

@@ -458,6 +458,15 @@ def test_theta_batch_refuses_an_overflowing_lattice_sum():
             theta_eval(sec, MirrorPoint(0.3, 0.2))
 
 
+def test_theta_refuses_a_tail_bound_that_overflows():
+    # T^k v overflows in a tail lift, whose bound was NaN beside a finite value
+    tt = TwistedTransport(make_graph(p=1, q=1, c=0.5, id="tail"), LocalSystem([[1.709e10]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericsError, match="tail/r0: .* tail bound is not finite"):
+            theta_eval(standard_section(tt, 25), MirrorPoint(0.0, 0.0))
+
+
 def full_window_terms(coeff, t_branch, where, xdual, K):
     """Every term of _line_sums' window, computed as before the per-point
     work stopped at the last live lift: the terms (P, q, 2(K + R) + 1, n),
@@ -494,7 +503,7 @@ def test_line_sums_match_the_full_window(tt, K, points):
 
     for coeff in standard_section(tt, K).coefficients:
         terms, bounds = full_window_terms(coeff, t_branch, where, xs, K)
-        if not np.all(np.isfinite(terms.sum(axis=-2))):
+        if not (np.all(np.isfinite(terms.sum(axis=-2))) and np.all(np.isfinite(bounds))):
             with pytest.raises(NumericsError, match="not finite"):
                 fourier._line_sums(coeff, t_branch, where, xs, K)
             continue
@@ -503,7 +512,7 @@ def test_line_sums_match_the_full_window(tt, K, points):
             values, got_bounds = fourier._line_sums(coeff, t_branch, where, xs, K)
         # the kernel ran on the leading lifts only; every lift left out was exactly 0
         assert not np.any(terms[..., lifts[-1]:, :])
-        assert np.array_equal(got_bounds, bounds, equal_nan=True)
+        assert np.array_equal(got_bounds, bounds)
         assert np.all(np.abs(values - terms.sum(axis=-2)) <= 1e-14 * np.abs(terms).sum(axis=-2))
         # a point alone has the same bits as in the batch, whatever cut the batch took
         for i in range(len(points)):
