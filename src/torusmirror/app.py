@@ -84,14 +84,22 @@ class Scene:
         raise ValidationError(f"scene has no object {object_id!r}; ids are {list(self.ids)}")
 
 
+def _monodromy_entry(entry, object_id: str) -> complex:
+    if not (
+        isinstance(entry, (list, tuple))
+        and len(entry) == 2
+        and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entry)
+    ):
+        raise ValidationError(f"object {object_id}: monodromy entries must be [re, im] pairs of numbers, got {entry!r}")
+    return complex(*entry)
+
+
 def _monodromy_from_json(raw, object_id: str) -> np.ndarray:
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in raw]
-    except (TypeError, IndexError) as err:
-        raise ValidationError(
-            f"object {object_id}: monodromy entries must be [re, im] pairs"
-        ) from err
-    return np.array(rows, dtype=complex)
+        return np.array([[_monodromy_entry(entry, object_id) for entry in row] for row in raw], dtype=complex)
+    except (TypeError, ValueError) as err:
+        # a matrix or row that is no list, or rows of unequal length
+        raise ValidationError(f"object {object_id}: monodromy must be a list of equal-length rows ({err})") from err
 
 
 def _object_from_dict(raw: dict) -> TwistedTransport:
@@ -110,11 +118,13 @@ def _object_from_dict(raw: dict) -> TwistedTransport:
             graph = LagrangianGraph(id=oid, q=raw["q"], p=raw["p"], c=raw["c"], wiggle=wiggle)
             system = LocalSystem(_monodromy_from_json(raw["local_system"]["monodromy"], oid))
             rank = raw["local_system"]["rank"]
-        except (KeyError, TypeError) as err:
-            # a wiggle term or local system without one of its fields, or a
-            # string where a number belongs
+        except (KeyError, TypeError, OverflowError) as err:
+            # a wiggle term or local system without one of its fields, a
+            # string where a number belongs, or an integer beyond the double range
             raise ValidationError(f"malformed entry ({type(err).__name__}: {err})") from err
-        if isinstance(rank, bool) or system.rank != rank:
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise ValidationError(f"object {oid}: local_system.rank must be an integer, got {rank!r}")
+        if system.rank != rank:
             raise ValidationError(f"object {oid}: declared rank {rank!r} but monodromy is {system.rank}x{system.rank}")
         tt = TwistedTransport(graph, system)
         tt.geometry  # builds the crossing record: transversality and alternation, eagerly

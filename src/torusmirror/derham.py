@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NumericsError, UnsupportedError, ValidationError, WindowError
 from .floer import RANK_TOL
-from .geometry import CIRCLE, LiftComponent, lift_components
+from .geometry import CIRCLE, LiftComponent
 from .localsys import TwistedTransport, circle_monodromy
 
 TWO_PI = 2.0 * math.pi
@@ -452,12 +452,12 @@ def discretized_dims(
     hp = 1.0 / res
     h0 = h1 = 0
     if tt.graph.p != 0:
-        for comp in lift_components(tt.graph):
+        for comp in tt.geometry.components:
             ker, coker = _line_component_dims(comp, tt.rank, big_t, hp, res, rank_tol)
             h0 += ker
             h1 += coker
     else:
-        shifts = {c.shift for c in lift_components(tt.graph)}
+        shifts = {c.shift for c in tt.geometry.components}
         shifts.update(_circle_candidate_shifts(tt))
         for shift in sorted(shifts):
             comp = LiftComponent(tt.graph, shift)

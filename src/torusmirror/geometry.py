@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,18 +29,6 @@ ROOT_TOL = 1e-12
 TRANSVERSALITY_TOL = 1e-6
 #: |Y| at a critical point below this value flags an even-order tangency
 TANGENCY_HEIGHT_TOL = 1e-9
-
-#: Gauss-Legendre rules for arc areas, 12 and 20 nodes, evaluated on one
-#: node set: row 1 of the weights gives the area, its gap to row 0
-#: estimates the error
-_AREA_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (12, 20))
-_AREA_NODES = np.concatenate([x for x, _ in _AREA_RULES])
-_AREA_WEIGHTS = np.zeros((2, len(_AREA_NODES)))
-_AREA_WEIGHTS[0, :12], _AREA_WEIGHTS[1, 12:] = (w for _, w in _AREA_RULES)
-#: largest harmonic phase omega*width/2 over one area panel; 12 nodes
-#: integrate cos at this phase to rounding
-_AREA_PANEL_PHASE = 4.0
-
 
 @dataclass(frozen=True)
 class Harmonic:
@@ -244,8 +231,11 @@ def lift_components(graph: LagrangianGraph, window: float | None = None) -> list
 
     For p != 0 these are the |p| lines with shifts 0..|p|-1.  For p = 0 they
     are circles, enumerated lazily: only shifts whose branch meets the band
-    |y| <= window are returned.  window defaults to max(4, 2 + sum of
-    wiggle coefficient magnitudes), which holds the branches nearest zero.
+    |y| <= window are returned.  The circle's height band is exact: Y takes
+    its extremes at critical points, and _critical_points returns every one
+    of them (a flat circle has none and is read at t = 0).  window defaults
+    to max(4, 2 + sum of wiggle coefficient magnitudes), which holds the
+    branches nearest zero.
     """
     if window is None:
         window = graph.default_window()
@@ -253,8 +243,8 @@ def lift_components(graph: LagrangianGraph, window: float | None = None) -> list
         raise ValidationError(f"window must be positive, got {window}")
     if graph.p != 0:
         return [LiftComponent(graph, r) for r in range(abs(graph.p))]
-    ts = np.linspace(0.0, graph.q, 1024, endpoint=False)
-    ys = graph.height(ts)
+    ts = _critical_points(graph, 0.0, graph.q)
+    ys = graph.height(ts if len(ts) else np.zeros(1))
     ymin, ymax = float(np.min(ys)), float(np.max(ys))
     lo = math.ceil(-window - ymax - 1e-12)
     hi = math.floor(window - ymin + 1e-12)
@@ -446,43 +436,28 @@ def _signed_area(comp: LiftComponent, t_from, t_to):
     """-integral of the branch height from t_from to t_to (signed), for a
     scalar pair of ends (a float) or for arrays of ends (an array).
 
-    Composite Gauss-Legendre: the height is linear plus harmonics of
-    frequency at most omega, so panels of phase omega*width/2 <= _AREA_PANEL_PHASE
-    converge spectrally.  One height call takes the nodes of both rules on
-    every panel of every pair; the gap between the rules estimates each
-    integral's error, and one warning reports the worst gap."""
+    Closed form about each pair's midpoint m and half-width d: the linear
+    part integrates to 2d((p/q) m + c + shift), and each harmonic
+    a cos(omega t) + b sin(omega t) to (2 sin(omega d) / omega) times its
+    value at m.  This is a separate formula from the difference of
+    primitives that localsys.twist_exponent takes, so the Floer route's
+    areas and the boundary route's twists stay independent; it also has no
+    cancellation far from t = 0, where a difference of primitives carries
+    rounding of about eps |G(t)|."""
     g = comp.parent
     t_from, t_to = np.asarray(t_from, dtype=float), np.asarray(t_to, dtype=float)
-    shape, t_from, t_to = t_from.shape, t_from.ravel(), t_to.ravel()
-    omega = TWO_PI * max((h.m for h in g.wiggle), default=0) / g.q
-    panels = np.maximum(1, np.ceil(omega * np.abs(t_to - t_from) / (2.0 * _AREA_PANEL_PHASE))).astype(int)
-    # one row per panel; panel j of pair i has midpoint t_from + (2j + 1) half
-    first = np.cumsum(panels) - panels
-    pair = np.repeat(np.arange(len(panels)), panels)
-    half = (0.5 * (t_to - t_from) / panels)[pair]
-    mid = t_from[pair] + (2 * (np.arange(len(pair)) - first[pair]) + 1) * half
-    values = comp.height(mid[:, None] + half[:, None] * _AREA_NODES)
-    # a matrix-vector product per rule: one matrix-matrix product added
-    # about 0.3 MB of BLAS buffers to peak memory
-    low, high = (np.add.reduceat(half * (values @ w), first) for w in _AREA_WEIGHTS)
-    err = float(np.max(np.abs(high - low)))
-    if err > 1e-9:
-        warnings.warn(f"area quadrature on {comp.label} reported error {err:.2g}")
-    return float(-high[0]) if not shape else -high.reshape(shape)
-
-
-def _make_arc(
-    plus: IntersectionPoint, minus: IntersectionPoint, t_plus: float, t_minus: float, area: float | None = None
-) -> SimpleArc:
-    direction = +1 if t_minus > t_plus else -1
-    if area is None:
-        area = _signed_area(plus.component, t_plus, t_minus)
-    return SimpleArc(plus, minus, t_plus, t_minus, direction, area)
+    half = 0.5 * (t_to - t_from)
+    mid, cos, sin = g._phases(0.5 * (t_to + t_from))
+    a, b = g._table[0]
+    spread = np.sin(np.multiply.outer(g._omega, half.ravel())) / g._omega[:, None]
+    wiggle = (a @ (cos * spread) + b @ (sin * spread)).reshape(mid.shape)
+    area = -2.0 * (half * ((g.p / g.q) * mid + g.c + comp.shift) + wiggle)
+    return area if area.shape else float(area)
 
 
 def simple_arcs(points: list[IntersectionPoint]) -> list[SimpleArc]:
     """Arcs between adjacent (positive, negative) crossing pairs, their
-    areas integrated in one _signed_area call.
+    areas taken in one closed-form _signed_area call.
 
     points must all lie on one component and be sorted by t.  On circles the
     wrap-around pair (last point, first point + q) is included, so a circle
@@ -510,7 +485,10 @@ def simple_arcs(points: list[IntersectionPoint]) -> list[SimpleArc]:
     if not ends:
         return []
     areas = _signed_area(comp, [e[2] for e in ends], [e[3] for e in ends])
-    return [_make_arc(*e, area) for e, area in zip(ends, areas.tolist())]
+    return [
+        SimpleArc(plus, minus, t_plus, t_minus, +1 if t_minus > t_plus else -1, area)
+        for (plus, minus, t_plus, t_minus), area in zip(ends, areas.tolist())
+    ]
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,36 @@ class TestSceneIO:
         with pytest.raises(ValidationError, match="rank"):
             scene_from_dict(scene_dict(object_dict(rank=2)))
 
+    @pytest.mark.parametrize(
+        "local_system, reason",
+        [
+            ({"rank": 1.0, "monodromy": [[[1.0, 0.0]]]}, "rank must be an integer"),
+            ({"rank": 1, "monodromy": [[[1.0, 0.0, 7.0]]]}, r"\[re, im\] pairs"),
+            ({"rank": 1, "monodromy": [[[True, False]]]}, r"\[re, im\] pairs"),
+            ({"rank": 1, "monodromy": [[["1", 0.0]]]}, r"\[re, im\] pairs"),
+            ({"rank": 2, "monodromy": [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}, "equal-length rows"),
+        ],
+    )
+    def test_malformed_local_system_names_object(self, local_system, reason):
+        # README: local_system.rank is an integer and monodromy entries are
+        # [re, im] pairs; a float rank, a third component or booleans used
+        # to load as rank 1 and the entry 1
+        bad = object_dict(id="loose")
+        bad["local_system"] = local_system
+        with pytest.raises(ValidationError, match=f"object loose: .*{reason}"):
+            scene_from_dict(scene_dict(bad))
+
+    @pytest.mark.parametrize("field", ["q", "p", "c", "a", "monodromy"])
+    def test_integer_beyond_the_double_range_names_object(self, field):
+        big = 10**400  # valid JSON, but no float holds it
+        bad = object_dict(id="huge", wiggle=[(1, big if field == "a" else 0.1, 0.0)])
+        if field == "monodromy":
+            bad["local_system"]["monodromy"] = [[[big, 0.0]]]
+        elif field != "a":
+            bad[field] = big
+        with pytest.raises(ValidationError, match="object huge"):
+            scene_from_dict(scene_dict(bad))
+
     def test_tangential_scene_rejected_on_load(self):
         with pytest.raises(TransversalityError):
             scene_from_dict(scene_dict(TANGENTIAL))
@@ -312,10 +342,11 @@ class TestRunVerify:
             assert entry["dbar_residual_max"] == pytest.approx(eps / 2, rel=0.01), entry["id"]
 
     def test_d_routes_read_an_injected_twist_fault(self, monkeypatch):
-        # Floer's arc weights come from the area quadrature, the boundary route's
-        # from localsys.twist_exponent, so a factor e^(eps t) in the latter must
-        # split the two routes; only a differential with entries shows it, and
-        # each crossing_dense object has crossings of both signs on a component
+        # Floer's arc weights come from geometry's closed-form arc areas, the
+        # boundary route's from localsys.twist_exponent, so a factor e^(eps t)
+        # in the latter must split the two routes; only a differential with
+        # entries shows it, and each crossing_dense object has crossings of
+        # both signs on a component
         import torusmirror.localsys as localsys
 
         scene = load_scene(DATA / "crossing_dense_7.json")
@@ -325,6 +356,24 @@ class TestRunVerify:
         eps, real = 1e-5, localsys.twist_exponent
         monkeypatch.setattr(localsys, "twist_exponent", lambda comp, t0, t1: real(comp, t0, t1) + eps * (t1 - t0))
         for entry in run_verify(scene).objects:
+            assert entry["checks"]["d_routes_agree"] is False and entry["pass"] is False, entry["id"]
+            assert entry["d_route_max_diff"] > 100 * D_ROUTE_TOL, entry["id"]
+
+    def test_d_routes_read_an_injected_area_fault(self, monkeypatch):
+        # the mirror image of the twist fault: the arc areas are a formula of
+        # their own, not localsys.twist_exponent's difference of primitives,
+        # so a fault in them alone splits the two routes on every object
+        import torusmirror.geometry as geometry
+
+        eps, real = 1e-5, geometry._signed_area
+
+        def faulty(comp, t_from, t_to):
+            return real(comp, t_from, t_to) + eps * (np.asarray(t_to) - np.asarray(t_from))
+
+        monkeypatch.setattr(geometry, "_signed_area", faulty)
+        entries = run_verify(load_scene(DATA / "crossing_dense_7.json")).objects
+        assert len(entries) == 15
+        for entry in entries:
             assert entry["checks"]["d_routes_agree"] is False and entry["pass"] is False, entry["id"]
             assert entry["d_route_max_diff"] > 100 * D_ROUTE_TOL, entry["id"]
 
@@ -751,3 +800,14 @@ def test_the_one_scipy_import_is_dpttrf():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
                 imports += [(path.name, node.module, alias.name) for alias in node.names]
     assert imports == [("derham.py", "scipy.linalg.lapack", "dpttrf")]
+
+
+def test_the_one_warning_is_floers_not_quasi_unitary():
+    # every other numeric decision raises or is reported; the one warning
+    # left is the quasi-unitary gauge's, which the verify report should carry
+    calls = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "torusmirror").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("warn"):
+                calls.append((path.name, ast.unparse(node.args[0]) if node.args else None))
+    assert len(calls) == 1 and calls[0][0] == "floer.py" and "not quasi-unitary" in calls[0][1]

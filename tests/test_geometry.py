@@ -143,6 +143,17 @@ def test_circle_default_window_covers_offset():
     assert any(c.shift == -7 for c in comps)  # nearest branch present
 
 
+def test_circle_band_reads_the_exact_extremes():
+    # Y = c + cos(2 pi (t - 1/2048)) peaks at c + 1 midway between two of 1024
+    # equispaced samples, which read 4.7e-6 lower; the branch of shift -5 peaks
+    # at -3.999998, inside the default window 4, so it is a component
+    phase = 2 * math.pi / 2048
+    g = make_graph(p=0, q=1, c=2e-6, wiggle=[(1, math.cos(phase), math.sin(phase))])
+    shifts = [comp.shift for comp in lift_components(g)]
+    assert shifts == list(range(-5, 5))
+    assert max(lift_components(g)[0].height(np.linspace(0.0, 1.0, 8193))) >= -4.0
+
+
 def test_no_crossings_on_offset_circle():
     g = make_graph(p=0, q=1, c=0.3)
     for comp in lift_components(g, window=2.0):
@@ -229,11 +240,7 @@ def test_sin_hump_area():
     up = [a for a in arcs if a.direction == +1][0]
     assert up.area == pytest.approx(-1.0 / math.pi, abs=1e-12)
     # reversing the traversal of the same hump negates the line integral
-    from torusmirror.geometry import _make_arc
-
-    reversed_hump = _make_arc(up.plus, up.minus, up.t_minus, up.t_plus)
-    assert reversed_hump.direction == -1
-    assert reversed_hump.area == pytest.approx(1.0 / math.pi, abs=1e-12)
+    assert _signed_area(comp, up.t_minus, up.t_plus) == pytest.approx(1.0 / math.pi, abs=1e-12)
     # the complementary wrap-around arc sits below the axis, so it is again disc-like
     down = [a for a in arcs if a.direction == -1][0]
     assert down.t_plus == pytest.approx(1.0, abs=1e-12)  # wrap-around pair uses t0 + q
@@ -658,9 +665,23 @@ def test_batched_areas_match_exact_primitive():
     assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
-def test_area_rule_warns_when_its_orders_disagree(monkeypatch):
-    # one panel over many periods: the two rules no longer agree
-    monkeypatch.setattr(geometry, "_AREA_PANEL_PHASE", 1e9)
-    comp = lift_components(make_graph(p=1, q=1, c=0.0, wiggle=[(8, 0.3, 0.2)]))[0]
-    with pytest.warns(UserWarning, match="area quadrature"):
-        _signed_area(comp, -1.5, 1.5)
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.integers(1, 3),
+    c=st.floats(-1.0, 1.0),
+    harmonics=st.lists(st.tuples(st.integers(1, 9), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)), max_size=4),
+    t_from=st.floats(-1000.0, 1000.0),
+    log_length=st.floats(-4.0, math.log10(6.0)),
+    backwards=st.booleans(),
+)
+def test_area_matches_quad_far_from_the_origin(q, c, harmonics, t_from, log_length, backwards):
+    # the closed form against adaptive quadrature of the height itself, to
+    # 1e-13 of the integral's scale |Y| * |length|; a difference of height
+    # primitives misses this on short arcs far from t = 0, where it carries
+    # rounding of about eps * |G(t)|
+    comp = lift_components(make_graph(p=1, q=q, c=c, wiggle=harmonics))[0]
+    length = (-1.0 if backwards else 1.0) * 10.0**log_length
+    t_to = t_from + length
+    scale = abs(length) * (max(abs(t_from), abs(t_to)) / q + abs(c) + comp.parent.wiggle_bound())
+    want, _ = quad(comp.height, t_from, t_to, epsabs=2e-14 * scale, epsrel=0.0, limit=200)
+    assert abs(_signed_area(comp, t_from, t_to) + want) <= 1e-13 * scale
