@@ -121,7 +121,7 @@ def _cmd_convolve(args) -> int:
 
 def _cmd_verify(args) -> int:
     scene = load_scene(args.scene)
-    report = run_verify(scene, workers=args.workers)
+    report = run_verify(scene)
     _emit(report.to_dict(), args.out)
     return 0 if report.passed else 1
 
@@ -169,8 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("convolve", _cmd_convolve, "convolve two objects into a new scene file")
     p.add_argument("--objects", required=True, help="two ids, comma separated")
 
-    p = add("verify", _cmd_verify, "run all pipelines and cross-checks")
-    p.add_argument("--workers", type=int, default=1)
+    add("verify", _cmd_verify, "run all pipelines and cross-checks")
 
     p = add("plot", _cmd_plot, "SVG of the fundamental domain")
     return parser

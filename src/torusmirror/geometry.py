@@ -6,6 +6,10 @@ and real on the cotangent cylinder, the symplectic form is dy^dt, and the
 restriction of the canonical 1-form to a graph is Y(t) dt.  The oriented
 area of an arc is A = -integral of Y dt along the traversal direction, so
 that exp(2*pi*A) < 1 for an arc above the axis traversed positively.
+
+The crossings of every lift component with the zero section are the t in
+one period [0, q] of the q-fold cover where Y(t) is an integer, so one scan
+of that period serves circles and lines alike (_crossing_scan).
 """
 
 from __future__ import annotations
@@ -243,25 +247,12 @@ def lift_components(graph: LagrangianGraph, window: float | None = None) -> list
         raise ValidationError(f"window must be positive, got {window}")
     if graph.p != 0:
         return [LiftComponent(graph, r) for r in range(abs(graph.p))]
-    ts = _critical_points(graph, 0.0, graph.q)
+    ts = _critical_points(graph)
     ys = graph.height(ts if len(ts) else np.zeros(1))
     ymin, ymax = float(np.min(ys)), float(np.max(ys))
     lo = math.ceil(-window - ymax - 1e-12)
     hi = math.floor(window - ymin + 1e-12)
     return [LiftComponent(graph, r) for r in range(lo, hi + 1)]
-
-
-def _scan_interval(comp: LiftComponent) -> tuple[float, float]:
-    g = comp.parent
-    if comp.kind == CIRCLE:
-        return 0.0, float(g.q)
-    # roots of (p/q) t + c + shift + W(t) lie where the linear part is
-    # within the wiggle bound
-    bound = g.wiggle_bound()
-    a = g.q / g.p
-    t1 = a * (-bound - g.c - comp.shift)
-    t2 = a * (bound - g.c - comp.shift)
-    return min(t1, t2) - g.q, max(t1, t2) + g.q
 
 
 def _refine_roots(f, fprime, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -297,9 +288,8 @@ def _refine_roots(f, fprime, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return x
 
 
-def _critical_points(graph: LagrangianGraph, lo: float, hi: float) -> np.ndarray:
-    """Sorted knots that include every critical point of Y: in [0, q) on a
-    circle, tiled by q over (lo, hi) on a line.
+def _critical_points(graph: LagrangianGraph) -> np.ndarray:
+    """Sorted knots in [0, q) that include every critical point of Y.
 
     Y' has period q, so with z = exp(2 pi i t / q) it is the Laurent
     polynomial sum of c_m z^m over |m| <= M: c_0 = p/q, c_m = (A_m - i B_m)/2
@@ -326,91 +316,97 @@ def _critical_points(graph: LagrangianGraph, lo: float, hi: float) -> np.ndarray
         return np.empty(0)
     z = np.roots(coeffs[::-1] + [c.conjugate() for c in coeffs[1:]])
     t = np.angle(z) * (q / TWO_PI) % q
-    t = np.sort(np.where(t < q, t, 0.0))  # an angle just below 0 can round up to q
-    if graph.p == 0:
-        return t
-    tiles = q * np.arange(math.floor(lo / q), math.floor(hi / q) + 1)
-    knots = np.add.outer(tiles, t).ravel()
-    return knots[(lo < knots) & (knots < hi)]
+    return np.sort(np.where(t < q, t, 0.0))  # an angle just below 0 can round up to q
 
 
 def _crossing_scan(graph: LagrangianGraph, comps) -> list[list[IntersectionPoint]]:
     """The crossings of the given lift components of graph, per component
     sorted by t and classified by the sign of Y' there.
 
-    The components differ only by their shift, so they share Y' and its
-    critical points, which _critical_points finds once as companion-matrix
-    roots over the union of the scan intervals.  Between consecutive knots
-    (the range ends and the critical points, cyclic on circles) Y is
-    monotone, so a piece holds one root of Y + shift if Y + shift changes
-    sign across it and none otherwise.  One safeguarded Newton sweep
-    (_refine_roots) refines the roots of all shifts at once.
+    Every crossing is a t where Y is an integer L.  On a circle it is
+    component -L's crossing at t.  On a line Y(t + q k) = Y(t) + p k, so a
+    level L crossed at t in [0, q] is component r = -L mod |p|'s crossing at
+    t + q (-r - L) / p.  One period therefore holds every crossing of every
+    component once, and no evaluation leaves [0, q].  Its knots are 0, the
+    critical points (_critical_points) and q.  Y is monotone between two
+    knots, so a piece crosses once each level L with min < L <= max of the
+    floors of Y at its ends.  The floor at q is the floor at 0 plus p, never
+    a rounded floor of Y(q), so a crossing on the seam counts once.  One
+    safeguarded Newton sweep (_refine_roots) on Y - L refines the crossings
+    of all levels at once.
 
     Raises TransversalityError when a root is tangential: either |Y'| at a
     located root is at most TRANSVERSALITY_TOL, or a branch sits on the
     zero section at a knot where |Y'| is at most TRANSVERSALITY_TOL (an
     even-order touch that bracketing alone would miss).  Raises
     NumericsError if two consecutive crossings share a sign, which only a
-    missed knot can cause.
+    missed knot can cause.  Both name the component and the t on it,
+    unwrapped on a line.
     """
-    shifts = np.array([comp.shift for comp in comps], dtype=float)
-    q, circle = graph.q, graph.p == 0
-    # the harmonics drift off exact periodicity in floats (sin(2*pi*m*q) is
-    # not 0), which can hide or double a root on a circle's seam; evaluate
-    # periodically there so f(q) == f(0) exactly
-    f = (lambda t: graph.height(t % q)) if circle else graph.height
-    fp = (lambda t: graph.slope(t % q)) if circle else graph.slope
-    lo = min(_scan_interval(comp)[0] for comp in comps)
-    hi = max(_scan_interval(comp)[1] for comp in comps)
-    tcs = _critical_points(graph, lo, hi)
+    q, p = graph.q, graph.p
+    index = {comp.shift: k for k, comp in enumerate(comps)}
+
+    def owner(level: int):
+        """The component that crosses at level, as its index in comps (None
+        if it is not scanned), and the multiple of q that carries [0, q]
+        onto that crossing."""
+        r = -level % abs(p) if p else -level
+        return index.get(r), ((-r - level) // p if p else 0)
+
     # a root pair z, 1/conj(z) of z^M Y' off the unit circle gives two knots
     # a few ulps apart, and rounding noise in Y can put a crossing on both
-    # sides of that sliver: keep the first knot of any run within ROOT_TOL
-    tcs = tcs[np.diff(tcs, prepend=-math.inf) > ROOT_TOL]
+    # sides of that sliver: keep the first knot of any run within ROOT_TOL,
+    # so a pair straddling the seam merges into 0 and into the knot that
+    # ends the period
+    knots = np.concatenate([[0.0], _critical_points(graph), [float(q)]])
+    knots = knots[np.diff(knots, prepend=-math.inf) > ROOT_TOL]
+    heights = graph.height(knots[:-1]).tolist()
+    ts = knots.tolist()
 
-    if circle:
-        if not len(tcs):
-            tcs = np.zeros(1)  # a flat circle: every point is critical
-        knots = np.append(tcs, tcs[0] + q)
-    else:
-        knots = np.concatenate([[lo], tcs, [hi]])
-    vals = f(knots)[None, :] + shifts[:, None]
-    critical = vals[:, :-1] if circle else vals[:, 1:-1]
     # a knot that is no critical point (|Y'| above the tolerance) may sit on
-    # the zero section: that is a crossing, which the root sweep checks
-    for k, i in np.argwhere(np.abs(critical) <= TANGENCY_HEIGHT_TOL).tolist():
-        flat = abs(fp(tcs[i]))
-        if flat <= TRANSVERSALITY_TOL:
-            raise TransversalityError(
-                f"component {comps[k].label}: tangential contact with the zero "
-                f"section near t = {tcs[i]:.6g}, where |Y'| = {flat:.3g}"
-            )
-
-    below = vals < 0
-    owner, piece = np.nonzero(below[:, :-1] != below[:, 1:])
-    offset = shifts[owner]
-    roots = _refine_roots(lambda t: f(t) + offset, fp, knots[piece], knots[piece + 1])
-    if circle:
-        roots %= q
-        # a root at the seam can refine to either side of t = q; snap to 0
-        roots[q - roots <= 1e-8] = 0.0
-    order = np.lexsort((roots, owner))
-    owner, roots = owner[order], roots[order]
-    slopes = fp(roots)
-    weak = np.flatnonzero(np.abs(slopes) <= TRANSVERSALITY_TOL)
-    if len(weak):
-        k = weak[0]
+    # the zero section: that is a crossing, which the root sweep checks; a
+    # flat circle has only t = 0, and every point of it is critical
+    touches = []
+    for t, y in zip(ts, heights):
+        if abs(y - round(y)) <= TANGENCY_HEIGHT_TOL:
+            k, turns = owner(round(y))
+            flat = abs(graph.slope(t))
+            if k is not None and flat <= TRANSVERSALITY_TOL:
+                touches.append((k, t + q * turns, flat))
+    if touches:
+        k, t, flat = min(touches)
         raise TransversalityError(
-            f"component {comps[owner[k]].label}: crossing at t = {roots[k]:.6g} has "
-            f"|Y'| = {abs(slopes[k]):.3g} <= {TRANSVERSALITY_TOL:g}"
+            f"component {comps[k].label}: tangential contact with the zero "
+            f"section near t = {t:.6g}, where |Y'| = {flat:.3g}"
         )
 
+    floors = [math.floor(y) for y in heights]
+    floors.append(floors[0] + p)
+    brackets = []  # (component index, multiple of q, piece ends, level) per crossing
+    for lo, hi, a, b in zip(ts, ts[1:], floors, floors[1:]):
+        for level in range(min(a, b) + 1, max(a, b) + 1):
+            k, turns = owner(level)
+            if k is not None:
+                brackets.append((k, turns, lo, hi, level))
+    owners, turns, lo, hi, levels = np.array(brackets, dtype=float).reshape(-1, 5).T
+    roots = _refine_roots(lambda t: graph.height(t) - levels, graph.slope, lo, hi)
+    if not p:
+        # a root at the seam can refine to either side of t = q; snap to 0
+        roots[q - roots <= 1e-8] = 0.0
+    found = sorted(zip(owners.astype(int).tolist(), (roots + q * turns).tolist(), graph.slope(roots).tolist()))
+    for k, t, d in found:
+        if abs(d) <= TRANSVERSALITY_TOL:
+            raise TransversalityError(
+                f"component {comps[k].label}: crossing at t = {t:.6g} has "
+                f"|Y'| = {abs(d):.3g} <= {TRANSVERSALITY_TOL:g}"
+            )
+
     crossings: list[list[IntersectionPoint]] = [[] for _ in comps]
-    for k, r, d in zip(owner.tolist(), roots.tolist(), slopes.tolist()):
-        crossings[k].append(IntersectionPoint(comps[k], r, +1 if d > 0 else -1))
+    for k, t, d in found:
+        crossings[k].append(IntersectionPoint(comps[k], t, +1 if d > 0 else -1))
     for points in crossings:
         # on a circle the last crossing is also followed by the first
-        following = points[1:] + points[:1] if circle else points[1:]
+        following = points[1:] + points[:1] if not p else points[1:]
         for prev, cur in zip(points, following):
             if prev.sign == cur.sign:
                 raise NumericsError(

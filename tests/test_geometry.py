@@ -1,6 +1,8 @@
 import math
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,7 +23,6 @@ from torusmirror.geometry import (
     LagrangianGraph,
     _critical_points,
     _refine_roots,
-    _scan_interval,
     _signed_area,
     lift_components,
     object_geometry,
@@ -36,6 +37,16 @@ from conftest import make_graph
 # inline recomputation in test_wiggle_roots_match_brentq.
 WIGGLE_ROOTS = (-0.8682422241207584, -0.5, -0.13175777587924167)
 WIGGLE_AREA = -0.06560684051385314
+
+
+def line_range(comp):
+    """A range of t that holds every crossing of a line component: where the
+    linear part of its height is within the wiggle bound of zero, padded by q
+    on both sides."""
+    g = comp.parent
+    a = g.q / g.p
+    ends = (a * (-g.wiggle_bound() - g.c - comp.shift), a * (g.wiggle_bound() - g.c - comp.shift))
+    return min(ends) - g.q, max(ends) + g.q
 
 
 def test_graph_validation():
@@ -174,10 +185,19 @@ def test_crossing_on_a_double_knot_is_found_once():
     # knot twice, a few ulps apart.  The one crossing sits at t = 0.25, where
     # Y is rounding noise: -1.5e-17 and +2.1e-18 at the two knots
     g = make_graph(p=-1, q=1, c=0.25, wiggle=[(1, -0.095703125, 0.0), (2, 0.0, -0.02734375)])
-    knots = _critical_points(g, *_scan_interval(lift_components(g)[0]))
+    knots = _critical_points(g)
     assert np.count_nonzero(np.abs(knots - 0.25) < 1e-15) == 2
     (points,) = object_geometry(g).crossings
     assert [(pt.t0, pt.sign) for pt in points] == [(pytest.approx(0.25, abs=1e-12), -1)]
+    assert signed_crossing_count(g) == -1
+
+
+def test_crossing_on_a_double_knot_at_the_seam_is_found_once():
+    # the curve above moved a quarter period to the left: the double knot
+    # and the one crossing now sit at t = 0, where the period [0, q] wraps
+    g = make_graph(p=-1, q=1, c=0.0, wiggle=[(1, 0.0, 0.095703125), (2, 0.0, 0.02734375)])
+    (points,) = object_geometry(g).crossings
+    assert [(pt.t0, pt.sign) for pt in points] == [(pytest.approx(0.0, abs=1e-12), -1)]
     assert signed_crossing_count(g) == -1
 
 
@@ -188,6 +208,15 @@ def test_straight_line_single_crossing():
     assert len(pts) == 1
     assert pts[0].t0 == pytest.approx(-0.25, abs=1e-12)
     assert pts[0].sign == +1
+
+
+def test_line_crossing_on_the_seam_counts_once():
+    # Y(0) = c is just below 0 while Y(1) = 1 + c rounds to 1: a floor of
+    # the rounded Y(q) would count level 1 at t = 1 as well as level 0 at
+    # t = 0, the same crossing twice
+    g = make_graph(p=1, q=1, c=-2.6e-112)
+    (points,) = object_geometry(g).crossings
+    assert [(pt.t0, pt.sign) for pt in points] == [(pytest.approx(0.0, abs=1e-12), 1)]
 
 
 def test_wiggle_roots_match_brentq(wiggle_scene):
@@ -422,7 +451,7 @@ def test_line_crossings_match_dense_sampling(p, q, c, harmonics):
     g = make_graph(p=p, q=q, c=c, wiggle=harmonics)
     samples = []
     for comp in lift_components(g):
-        lo, hi = _scan_interval(comp)
+        lo, hi = line_range(comp)
         ts = np.linspace(lo, hi, 200_001)
         ys = comp.height(ts)
         # a sampled extremum this far from zero rules out two roots hiding
@@ -445,6 +474,31 @@ def test_line_crossings_match_dense_sampling(p, q, c, harmonics):
             assert abs(pt.t0 - t0) <= 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    q=st.integers(1, 3),
+    c=st.floats(-1.0, 1.0),
+    harmonics=st.lists(HARMONIC, max_size=4),
+)
+def test_raising_c_by_p_moves_every_crossing_by_minus_q(p, q, c, harmonics):
+    # Y + p is Y one period later, so every component keeps its crossings,
+    # each moved by -q with its sign: the deck shift.  A wrong unwrap breaks
+    # it, and a wrong map from the level crossed to the component puts a
+    # crossing off its component.
+    assume(math.gcd(p, q) == 1)
+    try:
+        before = object_geometry(make_graph(p=p, q=q, c=c, wiggle=harmonics))
+        after = object_geometry(make_graph(p=p, q=q, c=c + p, wiggle=harmonics))
+    except TransversalityError:
+        return  # tangential or nearly so; only transversal scenes count
+    assert [comp.shift for comp in after.components] == [comp.shift for comp in before.components]
+    for old, new in zip(before.crossings, after.crossings):
+        assert all(abs(pt.component.height(pt.t0)) <= 1e-9 for pt in old + new)
+        assert [pt.sign for pt in new] == [pt.sign for pt in old]
+        assert [pt.t0 for pt in new] == pytest.approx([pt.t0 - q for pt in old], abs=1e-9)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     p=st.integers(-3, 3),
@@ -454,12 +508,11 @@ def test_line_crossings_match_dense_sampling(p, q, c, harmonics):
 def test_critical_points_hold_every_sampled_slope_sign_change(p, q, harmonics):
     assume(p == 0 or math.gcd(p, q) == 1)
     g = make_graph(p=p, q=q, c=0.0, wiggle=harmonics)
-    lo, hi = (0.0, float(q)) if p == 0 else _scan_interval(lift_components(g)[0])
-    knots = _critical_points(g, lo, hi)
+    lo, hi = 0.0, float(q)
+    knots = _critical_points(g)
     assert np.all(np.diff(knots) >= 0)
-    assert np.all((lo <= knots) & (knots < hi)) if p == 0 else np.all((lo < knots) & (knots < hi))
-    if p == 0:
-        knots = np.concatenate([knots, knots + q])  # a knot at 0 also ends the period
+    assert np.all((lo <= knots) & (knots < hi))
+    knots = np.concatenate([knots, knots + q])  # a knot at 0 also ends the period
     # every bracket of a dense sample across which Y' changes sign holds a knot
     ts = np.linspace(lo, hi, 100_001)
     slopes = g.slope(ts)
@@ -475,7 +528,7 @@ def test_crossing_on_a_knot_off_the_unit_circle():
     # negative real roots z give knots at t = 1/2, where Y = t - 1/2 + a sin(2 pi t)
     # crosses with slope 1 - 2 pi a: a transversal crossing, not a tangency
     g = make_graph(p=1, q=1, c=-0.5, wiggle=[(1, 0.0, 0.1)])
-    assert np.min(np.abs(_critical_points(g, -2.0, 2.0) - 0.5)) <= 1e-15
+    assert np.min(np.abs(_critical_points(g) - 0.5)) <= 1e-15
     assert abs(g.height(0.5)) <= TANGENCY_HEIGHT_TOL
     (points,) = object_geometry(g).crossings
     assert [(pt.t0, pt.sign) for pt in points] == [(pytest.approx(0.5, abs=1e-15), 1)]
@@ -547,7 +600,7 @@ def scalar_refine_root(f, fprime, lo, hi):
 def test_batched_refinement_matches_scalar_reference():
     g = make_graph(p=1, q=1, c=0.3, wiggle=[(1, 0.2, 0.5), (3, 0.1, -0.15)])
     (comp,) = lift_components(g)
-    ts = np.linspace(*_scan_interval(comp), 4001)
+    ts = np.linspace(*line_range(comp), 4001)
     for f, fprime in ((comp.height, comp.slope), (comp.slope, comp.slope_derivative)):
         vals = f(ts)
         change = np.flatnonzero((vals[:-1] < 0) != (vals[1:] < 0))
@@ -612,7 +665,7 @@ def test_linear_height_converges_in_three_evaluations():
     g = make_graph(p=2, q=3, c=0.4)
     comps = lift_components(g)
     shifts = np.array([comp.shift for comp in comps], dtype=float)
-    lo, hi = np.array([_scan_interval(comp) for comp in comps]).T
+    lo, hi = np.array([line_range(comp) for comp in comps]).T
     calls = []
     got = _refine_roots(lambda t: calls.append(t) or g.height(t) + shifts, g.slope, lo, hi)
     assert len(calls) <= 3
@@ -665,6 +718,24 @@ def test_batched_areas_match_exact_primitive():
     assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
+def exact_integral(comp, t_from, t_to):
+    """The integral of comp.height from t_from to t_to, exact up to its final
+    rounding: the linear part in rational arithmetic, and each harmonic
+    a cos(wt) + b sin(wt) from its bounded antiderivative
+    (a sin(wt) - b cos(wt)) / w at 50 digits.  It takes the float slope,
+    frequencies and coefficients that comp.height evaluates."""
+    g = comp.parent
+    t0, t1 = Fraction(t_from), Fraction(t_to)
+    linear = Fraction(g.p / g.q) * (t1 * t1 - t0 * t0) / 2 + (Fraction(g.c) + comp.shift) * (t1 - t0)
+    with mpmath.workdps(50):
+        total = mpmath.mpf(linear.numerator) / linear.denominator
+        for w, a, b in zip(g._omega.tolist(), *g._table[0].tolist()):
+            for t, sign in ((t_to, 1), (t_from, -1)):
+                wt = w * mpmath.mpf(t)
+                total += sign * (a * mpmath.sin(wt) - b * mpmath.cos(wt)) / w
+        return float(total)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     q=st.integers(1, 3),
@@ -674,14 +745,17 @@ def test_batched_areas_match_exact_primitive():
     log_length=st.floats(-4.0, math.log10(6.0)),
     backwards=st.booleans(),
 )
-def test_area_matches_quad_far_from_the_origin(q, c, harmonics, t_from, log_length, backwards):
-    # the closed form against adaptive quadrature of the height itself, to
-    # 1e-13 of the integral's scale |Y| * |length|; a difference of height
-    # primitives misses this on short arcs far from t = 0, where it carries
-    # rounding of about eps * |G(t)|
+# two draws where adaptive quadrature, the oracle this test once used, was
+# wrong: off by 3.2e-9 against a bound of 2.4e-11, and an IntegrationWarning
+@example(q=1, c=0.0, harmonics=[(5, 0.0, 1e-8)], t_from=73.0, log_length=0.5, backwards=False)
+@example(q=1, c=0.0, harmonics=[(5, 0.0, 1e-8)], t_from=67.0, log_length=0.5, backwards=False)
+def test_area_matches_the_exact_integral_far_from_the_origin(q, c, harmonics, t_from, log_length, backwards):
+    # the closed form against the exact integral of the height, to 1e-13 of
+    # the integral's scale |Y| * |length|; a difference of height primitives
+    # misses this on short arcs far from t = 0, where it carries rounding of
+    # about eps * |G(t)|
     comp = lift_components(make_graph(p=1, q=q, c=c, wiggle=harmonics))[0]
     length = (-1.0 if backwards else 1.0) * 10.0**log_length
     t_to = t_from + length
     scale = abs(length) * (max(abs(t_from), abs(t_to)) / q + abs(c) + comp.parent.wiggle_bound())
-    want, _ = quad(comp.height, t_from, t_to, epsabs=2e-14 * scale, epsrel=0.0, limit=200)
-    assert abs(_signed_area(comp, t_from, t_to) + want) <= 1e-13 * scale
+    assert abs(_signed_area(comp, t_from, t_to) + exact_integral(comp, t_from, t_to)) <= 1e-13 * scale
