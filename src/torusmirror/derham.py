@@ -9,13 +9,16 @@ discretized route puts the covariant derivative on a midpoint grid per
 line, with the seam matrix T where the lattice meets t in q*Z.  A line is
 contractible, so the gauge that carries each node into the frame before
 the first seam turns its operator into the scalar operator D0 times I_n,
-and the line is certified on D0: its index is +-1 by shape, and an LDL^T
-factor of the full-rank side's real tridiagonal Gram (for p < 0, read
+and the line is certified on D0: its index is +-1 by shape, and one
+Sturm count of the full-rank side's real tridiagonal Gram (for p < 0, read
 backwards) certifies the singular-value margin of that side, which fixes
-kernel and cokernel.  The factor is one LAPACK dpttrf call, scipy's one
-runtime use.  T enters circles only: they reduce to the discrete loop
-propagator P = T lambda_h, whose fixed space counts the singular values
-of P - I within its own defect bound, or is 0 by moduli alone.
+kernel and cokernel.  The count is one LAPACK dstebz call per line,
+scipy's one runtime use, and a refused line reports its exact margin.  Y
+is evaluated once per object, on one period's lattice points: lines tile
+it by Y(t + q) = Y(t) + p, and every circle shift shares it.  T enters
+circles only: they reduce to the discrete loop propagator P = T lambda_h,
+whose fixed space counts the singular values of P - I within its own
+defect bound, or is 0 by moduli alone.
 
 classify_components cuts every component at its negative crossings, for
 the derham CLI's case table.  Case tags: case1 = closed circle (no
@@ -51,9 +54,6 @@ PROPAGATOR_MARGIN = 10.0
 #: relative singular-value cutoff for the discretized operator: the discrete
 #: kernel/cokernel vectors carry O(h^2) residuals, far above floer's 1e-9
 DISCRETE_RANK_TOL = 1e-5
-
-#: shift halvings tried to bracket a failed certificate's margin
-_MARGIN_HALVINGS = 40
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 
@@ -285,30 +285,30 @@ def analytic_dims(tt: TwistedTransport, rank_tol: float = RANK_TOL) -> tuple[int
 # -- discretized route --------------------------------------------------
 
 
-def _line_tridiagonal(comp: LiftComponent, lo: float, hi: float, hp: float, res: int) -> tuple[np.ndarray, np.ndarray]:
+def _line_tridiagonal(ys: np.ndarray, comp: LiftComponent, lo: float, hi: float, hp: float) -> tuple[np.ndarray, np.ndarray]:
     """The full-rank side's Gram of the scalar midpoint operator D0 = d/dt +
     2*pi*Y~ on [lo, hi]: its diagonal and subdiagonal.
 
-    Row i of D0 is left_i on node i and right_i on node i+1.  On n-vectors
-    the row's node-i entry is left_i T where its lattice-point center lies
-    on q*Z (a seam), and the gauge x_j = P_j y_j, P_j = T^(seams before node
-    j), turns that operator into blockdiag(P_{i+1}) (D0 kron I_n) (the p < 0
-    decay rows take the first and last node's P): its rank is n rank D0 for
-    any invertible T, so a line is certified on D0 alone.  For p > 0, D0 has
-    one row fewer than columns and G = D0 D0^T.  For p < 0, D0 has decay
-    rows 1/hp at both ends, and D0^T D0 = B B^T for B = J D0^T J, J
-    reversing the nodes, which has the p > 0 shape with (left, 1/hp) and
-    (1/hp, right) read backwards: so the p > 0 assembly builds J G J, which
-    has G's singular values and row sums.  Y~ is evaluated once per lattice
-    phase the window holds; Y~(t + q) = Y~(t) + p gives the rest."""
+    ys holds Y at the lattice points hp, 2 hp, ..., q of one period, and
+    Y(t + q) = Y(t) + p tiles it over the window's lattice points; the line
+    adds its shift.  Row i of D0 is left_i on node i and right_i on node
+    i+1.  On n-vectors the row's node-i entry is left_i T where its
+    lattice-point center lies on q*Z (a seam), and the gauge x_j = P_j y_j,
+    P_j = T^(seams before node j), turns that operator into
+    blockdiag(P_{i+1}) (D0 kron I_n) (the p < 0 decay rows take the first
+    and last node's P): its rank is n rank D0 for any invertible T, so a
+    line is certified on D0 alone.  For p > 0, D0 has one row fewer than
+    columns and G = D0 D0^T.  For p < 0, D0 has decay rows 1/hp at both
+    ends, and D0^T D0 = B B^T for B = J D0^T J, J reversing the nodes, which
+    has the p > 0 shape with (left, 1/hp) and (1/hp, right) read backwards:
+    so the p > 0 assembly builds J G J, which has G's spectrum and row
+    sums."""
     g = comp.parent
-    n_nodes = int(round((hi - lo) / hp))
-    first = math.floor(lo / hp) + 1
-    count, period = n_nodes - 1, g.q * res
-    base = comp.height((first + np.arange(min(count, period))) * hp)
-    ys = (base + g.p * np.arange(-(-count // period))[:, None]).ravel()[:count]
-    left = -1.0 / hp + math.pi * ys
-    right = 1.0 / hp + math.pi * ys
+    # ys[k] is Y((k + 1) hp), and the rows' lattice points start at floor(lo / hp) + 1
+    periods, k = np.divmod(math.floor(lo / hp) + np.arange(round((hi - lo) / hp) - 1), len(ys))
+    heights = ys[k] + (g.p * periods + comp.shift)
+    left = -1.0 / hp + math.pi * heights
+    right = 1.0 / hp + math.pi * heights
     if g.p < 0:
         left, right = np.append(left, 1.0 / hp)[::-1], np.append(1.0 / hp, right)[::-1]
     return left * left + right * right, right[:-1] * left[1:]
@@ -316,22 +316,22 @@ def _line_tridiagonal(comp: LiftComponent, lo: float, hi: float, hp: float, res:
 
 def _row_sum_bound(diag: np.ndarray, sub: np.ndarray) -> float:
     """Gershgorin bound of G: its largest absolute row sum |d_i| +
-    |s_(i-1)| + |s_i|."""
+    |s_(i-1)| + |s_i| (NaN if an entry is NaN)."""
     mag = np.abs(sub)
     return float((np.abs(diag) + np.append(0.0, mag) + np.append(mag, 0.0)).max())
 
 
-def _factors(diag: np.ndarray, sub: np.ndarray, sigma: float) -> bool:
-    """Whether G - sigma^2 I has an LDL^T factor with positive pivots, i.e.
-    every singular value of the full-rank side exceeds sigma: one LAPACK
-    dpttrf call, the recurrence mu <- d - e^2 / mu.  A non-positive or
-    non-finite pivot means no factor (dpttrf passes NaN pivots).  The
-    factor is backward stable, so rounding stays at O(eps * |G|), far below
-    the cutoff^2."""
-    from scipy.linalg.lapack import dpttrf  # loaded on first use, off the load path
+def _gram_eigenvalues(diag: np.ndarray, sub: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The eigenvalues of the tridiagonal G in (lo, hi], ascending: one
+    LAPACK dstebz call.  Their number is a Sturm count, the inertia of the
+    LDL^T factors of G - lo I and G - hi I (the recurrence mu <- d - e^2 /
+    mu), which is backward stable, so rounding stays at O(eps * |G|); only
+    an interval that holds eigenvalues is bisected.  The count is undefined
+    on NaN entries, so the caller checks G is finite."""
+    from scipy.linalg.lapack import dstebz  # loaded on first use, off the load path
 
-    d, _, info = dpttrf(diag - sigma * sigma, sub, overwrite_d=1)
-    return not info and bool(np.isfinite(d).all())
+    count, w, *_ = dstebz(diag, sub, 1, lo, hi, 0, 0, 0.0, "E")
+    return w[:count]
 
 
 def _validate_window(comp: LiftComponent, lo: float, hi: float) -> None:
@@ -351,26 +351,31 @@ def _validate_window(comp: LiftComponent, lo: float, hi: float) -> None:
 
 
 def _line_component_dims(
-    comp: LiftComponent, n: int, big_t: float, hp: float, res: int, rank_tol: float
+    ys: np.ndarray, comp: LiftComponent, n: int, big_t: float, hp: float, rank_tol: float
 ) -> tuple[int, int]:
     lo, hi = comp.vertex - big_t, comp.vertex + big_t
     _validate_window(comp, lo, hi)
-    diag, sub = _line_tridiagonal(comp, lo, hi, hp, res)
-    threshold = rank_tol * math.sqrt(_row_sum_bound(diag, sub))
-    # halve the shift until a factor exists; that brackets sigma_min / threshold
-    k = next((k for k in range(_MARGIN_HALVINGS) if _factors(diag, sub, threshold * 2.0**-k)), _MARGIN_HALVINGS)
-    if k:
-        low = 2.0**-k if k < _MARGIN_HALVINGS else 0.0
+    diag, sub = _line_tridiagonal(ys, comp, lo, hi, hp)
+    bound = _row_sum_bound(diag, sub)
+    if not math.isfinite(bound):
+        raise NumericsError(f"component {comp.label}: the full-rank side's Gram is not finite")
+    cutoff = rank_tol * math.sqrt(bound)
+    small = _gram_eigenvalues(diag, sub, -bound, cutoff * cutoff)
+    if small.size:
         raise NumericsError(
-            f"component {comp.label}: the full-rank side has a singular value at or below "
-            f"the cutoff {threshold:.3g}; margin sigma_min/cutoff in ({low:.3g}, {2.0 ** (1 - k):.3g}]"
+            f"component {comp.label}: the full-rank side has {small.size} singular value(s) at or below "
+            f"the cutoff {cutoff:.3g}; margin sigma_min/cutoff = {math.sqrt(max(small[0], 0.0)) / cutoff:.6g}"
         )
     return (n, 0) if comp.parent.p > 0 else (0, n)
 
 
-def _circle_propagator_dims(comp: LiftComponent, t_mono: np.ndarray, hp: float, res: int) -> tuple[int, int]:
+def _circle_propagator_dims(
+    comp: LiftComponent, ys: np.ndarray, t_mono: np.ndarray, t_sv: np.ndarray, hp: float
+) -> tuple[int, int]:
     """Kernel and cokernel of a circle's discrete loop operator: the fixed
     space of its propagator P, counted by the singular values of P - I.
+    ys holds Y~ at the loop's lattice points hp, 2 hp, ..., q, and t_sv the
+    singular values of T, descending.
 
     The loop's twisted monodromy is M = T mu with mu = exp(-2 pi * loop
     integral of Y~), and P = T lambda_h with lambda_h the product of the
@@ -390,15 +395,11 @@ def _circle_propagator_dims(comp: LiftComponent, t_mono: np.ndarray, hp: float, 
     lambda_h [sigma_min(T), sigma_max(T)] and M's within e^+-log_defect of
     them, and a log range beyond PROPAGATOR_MARGIN log_defect + n eps on
     either side of 0 gives 0 without forming P."""
-    g = comp.parent
-    steps = g.q * res
-    mids = (np.arange(steps) + 1.0) * hp  # lattice points of one loop from node at hp/2
-    x = hp * math.pi * comp.height(mids)
+    x = hp * math.pi * ys
     terms = np.log1p(-x) - np.log1p(x)
     log_lambda = float(np.sum(terms))
     eps = np.finfo(float).eps
-    log_defect = float(np.sum(2.0 * np.abs(x) ** 3 / (3.0 * (1.0 - x * x))) + steps * eps * np.sum(np.abs(terms)))
-    t_sv = np.linalg.svd(t_mono, compute_uv=False)
+    log_defect = float(np.sum(2.0 * np.abs(x) ** 3 / (3.0 * (1.0 - x * x))) + len(ys) * eps * np.sum(np.abs(terms)))
     reach = PROPAGATOR_MARGIN * log_defect + len(t_mono) * eps
     if log_lambda + math.log(t_sv[0]) < -reach or log_lambda + math.log(t_sv[-1]) > reach:
         return 0, 0
@@ -431,13 +432,13 @@ def discretized_dims(
     gauge makes a line's operator the scalar D0 times I_n, so each line
     gives n times D0's kernel and cokernel, whatever T: an index of 1 (p >
     0, no boundary rows) or -1 (p < 0, decay rows at both truncations) by
-    shape.  An LDL^T factor of D0's full-rank-side Gram, shifted by the
-    cutoff^2, certifies that no singular value lies at or below rank_tol
-    times the square root of the Gram's Gershgorin bound, else
-    NumericsError names the component and the margin; the Gram is a real
-    scalar tridiagonal, so the factor is one LAPACK dpttrf call.  Circles
+    shape.  One dstebz Sturm count certifies that D0's full-rank-side Gram
+    has no eigenvalue at or below cutoff^2, the cutoff being rank_tol times
+    the square root of the Gram's Gershgorin bound; else NumericsError
+    names the component and the exact margin sigma_min/cutoff.  Circles
     count the singular values of P - I for the discrete loop propagator
-    P = T lambda_h within its defect bound.
+    P = T lambda_h within its defect bound, with one SVD of T for all
+    shifts.  Y is evaluated once, on one period's lattice points.
     h must lie in (0, 1e-2], big_t be positive and rank_tol lie in (0, 1),
     all finite, else ValidationError.
     """
@@ -450,18 +451,20 @@ def discretized_dims(
         raise ValidationError(f"rank_tol = {rank_tol} must lie in (0, 1)")
     res = round(1.0 / h)
     hp = 1.0 / res
+    g, t_mono = tt.graph, tt.system.monodromy
+    ys = g.height(np.arange(1, g.q * res + 1) * hp)  # Y on one period's lattice points, once
     h0 = h1 = 0
-    if tt.graph.p != 0:
+    if g.p != 0:
         for comp in tt.geometry.components:
-            ker, coker = _line_component_dims(comp, tt.rank, big_t, hp, res, rank_tol)
+            ker, coker = _line_component_dims(ys, comp, tt.rank, big_t, hp, rank_tol)
             h0 += ker
             h1 += coker
     else:
+        t_sv = np.linalg.svd(t_mono, compute_uv=False)
         shifts = {c.shift for c in tt.geometry.components}
         shifts.update(_circle_candidate_shifts(tt))
         for shift in sorted(shifts):
-            comp = LiftComponent(tt.graph, shift)
-            ker, coker = _circle_propagator_dims(comp, tt.system.monodromy, hp, res)
+            ker, coker = _circle_propagator_dims(LiftComponent(g, shift), ys + shift, t_mono, t_sv, hp)
             h0 += ker
             h1 += coker
     return h0, h1

@@ -70,8 +70,8 @@ class LagrangianGraph:
     is asserted numerically on creation.
 
     Construction builds the curve's harmonic table once: the frequencies
-    omega = 2*pi*m/q and, for W, W' and W'', the coefficient vectors of
-    cos(omega t) and sin(omega t).  Y and its derivatives and primitive take
+    omega = 2*pi*m/q and, for W and W', the coefficient vectors of
+    cos(omega t) and sin(omega t).  Y, Y' and the primitive take
     one cos and one sin of the outer product omega x t and a vector-matrix
     product per evaluation, whatever the number of harmonics.
     """
@@ -102,7 +102,7 @@ class LagrangianGraph:
         a = np.array([h.a for h in self.wiggle])
         b = np.array([h.b for h in self.wiggle])
         object.__setattr__(self, "_omega", omega)
-        table = np.array([[a, b], [omega * b, -omega * a], [-omega * omega * a, -omega * omega * b]])
+        table = np.array([[a, b], [omega * b, -omega * a]])
         object.__setattr__(self, "_table", table)
         ts = np.array([0.1, 0.37, 1.7])
         if np.any(np.abs(self.height(ts + self.q) - self.height(ts) - self.p) > 1e-9):
@@ -133,11 +133,6 @@ class LagrangianGraph:
         """Y'(t)."""
         _, w = self._wiggle(t, 1)
         s = self.p / self.q + w
-        return s if s.shape else float(s)
-
-    def slope_derivative(self, t):
-        """Y''(t)."""
-        _, s = self._wiggle(t, 2)
         return s if s.shape else float(s)
 
     def height_primitive(self, t):
@@ -185,9 +180,6 @@ class LiftComponent:
 
     def slope(self, t):
         return self.parent.slope(t)
-
-    def slope_derivative(self, t):
-        return self.parent.slope_derivative(t)
 
     def height_primitive(self, t):
         t_arr = np.asarray(t, dtype=float)

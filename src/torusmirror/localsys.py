@@ -124,17 +124,22 @@ class HorizontalSection:
         return self.system.rank
 
     def flat_and_twist(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """s(t) = flat * exp(twist): the flat transport T^k v, shape t.shape + (n,),
-        and the log of the area weight, shape t.shape.
+        """s(t) = flat * exp(twist): the flat transport T'^k v, shape t.shape + (n,),
+        and the log of the area weight plus k log|det T| / n, shape t.shape,
+        for the unit-determinant T' = T |det T|^(-1/n).
 
-        T^k v is built once for the seam counts k that the array needs; the
-        twist is the exact primitive on the whole array.
+        T'^k v is built once for the seam counts k that the array needs; the
+        twist is the exact primitive on the whole array.  Where T's
+        eigenvalue moduli are equal, T' has them all 1, so T'^k v stays in
+        the double range and the twist carries the growth, which the kernel
+        weight then meets in one exponent.
         """
         t = np.asarray(t, dtype=float)
         k = _seam_crossings(self.component.parent.q, self.anchor_t, t)
         k_lo, k_hi = int(k.min(initial=0)), int(k.max(initial=0))
-        flat = _power_table(self.system.monodromy, self.vector, k_lo, k_hi)[k - k_lo]
-        return flat, np.asarray(twist_exponent(self.component, self.anchor_t, t))
+        log_scale = np.linalg.slogdet(self.system.monodromy)[1] / self.rank
+        flat = _power_table(self.system.monodromy * math.exp(-log_scale), self.vector, k_lo, k_hi)[k - k_lo]
+        return flat, np.asarray(twist_exponent(self.component, self.anchor_t, t) + k * log_scale)
 
     def __call__(self, t) -> np.ndarray:
         flat, twist = self.flat_and_twist(t)

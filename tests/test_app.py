@@ -790,8 +790,8 @@ def test_cli_import_leaves_out_scipy_integrate(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
-def test_the_one_scipy_import_is_dpttrf():
-    # the discretized route's LAPACK dpttrf is the package's one use of scipy
+def test_the_one_scipy_import_is_dstebz():
+    # the discretized route's LAPACK dstebz is the package's one use of scipy
     imports = []
     for path in sorted((Path(__file__).resolve().parent.parent / "src" / "torusmirror").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -799,7 +799,7 @@ def test_the_one_scipy_import_is_dpttrf():
                 imports += [(path.name, alias.name, None) for alias in node.names if alias.name.split(".")[0] == "scipy"]
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
                 imports += [(path.name, node.module, alias.name) for alias in node.names]
-    assert imports == [("derham.py", "scipy.linalg.lapack", "dpttrf")]
+    assert imports == [("derham.py", "scipy.linalg.lapack", "dstebz")]
 
 
 def test_the_one_warning_is_floers_not_quasi_unitary():

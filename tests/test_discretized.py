@@ -1,7 +1,10 @@
-"""The discretized route's certified count against a dense SVD oracle, and
-the seam gauge that makes a line's certificate free of the monodromy."""
+"""The discretized route's certified count against a dense SVD oracle, its
+Sturm count against LAPACK's LDL^T factor (dpttrf) on the golden scenes,
+and the seam gauge that makes a line's certificate free of the monodromy."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +12,14 @@ from conftest import make_graph, random_unitary
 from scipy.sparse import csr_matrix
 
 from torusmirror import derham
+from torusmirror.app import load_scene
 from torusmirror.derham import DISCRETE_RANK_TOL, discretized_dims
 from torusmirror.errors import NumericsError, ValidationError
-from torusmirror.geometry import lift_components
+from torusmirror.geometry import LagrangianGraph, lift_components
 from torusmirror.localsys import LocalSystem, TwistedTransport, trivial_system
 
 H = 1.0 / 128
+DATA = Path(__file__).parent / "data"
 
 
 def dense_operator(comp, mono, lo, hi, res):
@@ -79,10 +84,11 @@ def gauged_scalar_operator(comp, mono, lo, hi, res):
 def svd_dims(tt, big_t, h, rank_tol=DISCRETE_RANK_TOL):
     """(ker, coker) from singular values, with the cutoff rank_tol times the
     square root of the Gershgorin bound of the full-rank side's Gram, and
-    the rank_tol at which the smallest such singular value meets the cutoff."""
+    per component label the rank_tol at which its smallest singular value
+    meets the cutoff."""
     g = tt.graph
     ker = coker = 0
-    flip = math.inf
+    flips = {}
     for comp in lift_components(g):
         vertex = -(g.c + comp.shift) * g.q / g.p
         d = dense_operator(comp, tt.system.monodromy, vertex - big_t, vertex + big_t, round(1.0 / h))
@@ -93,8 +99,21 @@ def svd_dims(tt, big_t, h, rank_tol=DISCRETE_RANK_TOL):
         rank = int(np.sum(sigma > rank_tol * bound))
         ker += d.shape[1] - rank
         coker += d.shape[0] - rank
-        flip = min(flip, sigma[-1] / bound)
-    return (ker, coker), flip
+        flips[comp.label] = sigma[-1] / bound
+    return (ker, coker), flips
+
+
+def refusal(error):
+    """The component label and the margin sigma_min/cutoff that a refused
+    line's NumericsError names."""
+    found = re.fullmatch(r"component (\S+): .* margin sigma_min/cutoff = (\S+)", str(error))
+    assert found, str(error)
+    return found[1], float(found[2])
+
+
+def period_heights(graph, hp):
+    """Y at the lattice points hp, 2 hp, ..., q of one period."""
+    return graph.height(np.arange(1, graph.q * round(1.0 / hp) + 1) * hp)
 
 
 @pytest.mark.parametrize(
@@ -126,18 +145,26 @@ def test_certified_count_matches_dense_svd(p, q, n, unitary, rng):
     # any invertible seam T gauges away along a line, so each line is
     # certified on the scalar operator D0, and the certificate flips where
     # D0's smallest singular value meets D0's cutoff
-    _, flip = svd_dims(TwistedTransport(graph, trivial_system(1)), big_t, H)
+    _, flips = svd_dims(TwistedTransport(graph, trivial_system(1)), big_t, H)
+    flip = min(flips.values())
     assert discretized_dims(tt, h=H, big_t=big_t, rank_tol=0.9 * flip) == expected
-    with pytest.raises(NumericsError, match=r"margin sigma_min/cutoff in \(0\.5, 1\]"):
+    with pytest.raises(NumericsError, match=r"margin sigma_min/cutoff = ") as err:
         discretized_dims(tt, h=H, big_t=big_t, rank_tol=1.1 * flip)
+    # the refused line's margin is its dense sigma_min over its cutoff
+    label, margin = refusal(err.value)
+    assert margin == pytest.approx(flips[label] / (1.1 * flip), rel=1e-5)
+    assert margin <= 1.0
 
 
 def test_failed_certificate_names_component_and_margin():
     tt = TwistedTransport(make_graph(p=1, q=1, c=0.0), trivial_system(1))
     label = lift_components(tt.graph)[0].label
-    with pytest.raises(NumericsError, match=r"margin sigma_min/cutoff in \(") as err:
-        discretized_dims(tt, rank_tol=0.5)
-    assert label in str(err.value)
+    with pytest.raises(NumericsError, match=r"has 8 singular value\(s\) at or below the cutoff") as err:
+        discretized_dims(tt, rank_tol=1e-2)
+    # one number, not a bracket
+    named, margin = refusal(err.value)
+    assert named == label
+    assert 0.0 < margin <= 1.0
 
 
 @pytest.mark.parametrize("seam_row", ["first", "last", "inside"])
@@ -166,15 +193,19 @@ def test_scalar_band_with_seam_patches_matches_block_band(p, q, n, seam_row, rng
     assert {"first": 0, "last": nodes - 2, "inside": 40}[seam_row] in seams
     d0 = gauged_scalar_operator(comp, mono, lo, hi, res)
     gram = d0 @ d0.T if p > 0 else (d0.T @ d0)[::-1, ::-1]
-    diag, sub = derham._line_tridiagonal(comp, lo, hi, hp, res)
+    # the band reads Y off one period, tiled by Y(t + q) = Y(t) + p
+    diag, sub = derham._line_tridiagonal(period_heights(graph, hp), comp, lo, hi, hp)
     band = np.diag(diag) + np.diag(sub, -1) + np.diag(sub, 1)
     assert np.max(np.abs(band - gram)) <= 1e-14 * np.max(np.abs(gram))
     want = np.abs(gram).sum(axis=1).max()
-    assert abs(derham._row_sum_bound(diag, sub) - want) <= 1e-15 * want
-    # the factor exists just below the smallest singular value and not just above
+    bound = derham._row_sum_bound(diag, sub)
+    assert abs(bound - want) <= 1e-15 * want
+    # the Sturm count is 0 just below the smallest singular value and 1 just above
     flip = np.linalg.svd(d0, compute_uv=False)[-1]
-    for scale, exists in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
-        assert derham._factors(diag, sub, scale * flip) is exists
+    for scale, count in ((1.0 - 1e-6, 0), (1.0 + 1e-6, 1)):
+        small = derham._gram_eigenvalues(diag, sub, -bound, (scale * flip) ** 2)
+        assert small.size == count
+    assert math.sqrt(small[0]) == pytest.approx(flip, rel=1e-9)
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (-3, 2)])
@@ -206,12 +237,18 @@ def test_lines_with_a_steep_monodromy_are_certified(p, mono, expected):
 
 
 @pytest.mark.parametrize("q", [1, 2])
-def test_non_finite_pivot_is_no_factor(q):
-    comp = lift_components(make_graph(p=-1, q=q, c=0.3))[0]
-    diag, sub = derham._line_tridiagonal(comp, -3.0, 3.0, 1.0 / 64, 64)
-    assert derham._factors(diag, sub, 1e-3)
-    # dpttrf lets NaN pivots through without an error
-    assert not derham._factors(diag, sub, math.nan)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_gram_is_refused(q, bad):
+    graph = make_graph(p=-1, q=q, c=0.3)
+    comp = lift_components(graph)[0]
+    ys = period_heights(graph, 1.0 / 64)
+    diag, sub = derham._line_tridiagonal(ys, comp, -3.0, 3.0, 1.0 / 64)
+    assert derham._gram_eigenvalues(diag, sub, -derham._row_sum_bound(diag, sub), 1e-6).size == 0
+    assert derham._line_component_dims(ys, comp, 1, 6.0, 1.0 / 64, DISCRETE_RANK_TOL) == (0, 1)
+    # dstebz's count is undefined on NaN, so a non-finite Gram is refused first
+    ys[5] = bad
+    with pytest.raises(NumericsError, match=rf"{comp.label}: the full-rank side's Gram is not finite"):
+        derham._line_component_dims(ys, comp, 1, 6.0, 1.0 / 64, DISCRETE_RANK_TOL)
 
 
 @pytest.mark.parametrize(
@@ -232,3 +269,58 @@ def test_non_finite_or_out_of_range_arguments_refused(kwargs):
     with pytest.raises(ValidationError):
         discretized_dims(tt, **kwargs)
 
+
+
+GOLDEN = ("verify_mixed_7", "verify_mixed_13", "crossing_dense_7", "crossing_dense_13", "edge")
+
+
+def test_sturm_count_agrees_with_the_ldlt_factor_on_the_golden_lines():
+    # the certificate's dstebz count is 0 exactly when LAPACK dpttrf factors
+    # G - cutoff^2 I with positive pivots, at the cutoff and 10 and 100 times it
+    from scipy.linalg.lapack import dpttrf
+
+    compared = refused = 0
+    for name in GOLDEN:
+        scene = load_scene(DATA / f"{name}.json")
+        hp = 1.0 / round(1.0 / scene.params.grid_h)
+        for tt in scene.objects:
+            if tt.graph.p == 0:
+                continue
+            ys = period_heights(tt.graph, hp)
+            for comp in tt.geometry.components:
+                lo, hi = comp.vertex - scene.params.window, comp.vertex + scene.params.window
+                diag, sub = derham._line_tridiagonal(ys, comp, lo, hi, hp)
+                bound = derham._row_sum_bound(diag, sub)
+                for scale in (1.0, 10.0, 100.0):
+                    shift = (scale * DISCRETE_RANK_TOL) ** 2 * bound
+                    pivots, _, info = dpttrf(diag - shift, sub)
+                    factors = info == 0 and bool(np.isfinite(pivots).all())
+                    assert (derham._gram_eigenvalues(diag, sub, -bound, shift).size == 0) is factors, comp.label
+                    compared += 1
+                    refused += not factors
+    # both outcomes occur: a few lines are refused at 100 times the cutoff
+    assert compared == 1137 and refused > 0
+
+
+def test_one_pass_evaluates_y_once_per_object_and_t_once(monkeypatch):
+    scene = load_scene(DATA / "verify_mixed_7.json")
+    circles = [tt for tt in scene.objects if tt.graph.p == 0]
+    for tt in scene.objects:
+        tt.geometry  # built before the spies, as verify's earlier stages build it
+    heights, svds = [], []
+    height, svd = LagrangianGraph.height, np.linalg.svd
+
+    def spied_height(self, t):
+        heights.append(self.id)
+        return height(self, t)
+
+    def spied_svd(a, *args, **kwargs):
+        svds.extend(tt.id for tt in circles if a is tt.system.monodromy)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(LagrangianGraph, "height", spied_height)
+    monkeypatch.setattr(np.linalg, "svd", spied_svd)
+    for tt in scene.objects:
+        discretized_dims(tt, h=scene.params.grid_h, big_t=scene.params.window)
+    assert sorted(heights) == sorted(tt.id for tt in scene.objects) and len(heights) == 15
+    assert svds == [tt.id for tt in circles] and len(svds) == 1

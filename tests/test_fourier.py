@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -438,6 +439,22 @@ def test_truncation_bound_sums_the_coefficients_tails():
     np.testing.assert_allclose(doubled, 2.0 * bound, rtol=1e-15)
 
 
+def exact_line_sum(tt, anchor, t, xdual):
+    """The lattice sum at (t, xdual) of the rank-1 coefficient through
+    (anchor, 1) on a straight p = q = 1 line with offset c, exactly: the sum
+    over lifts s = t + m of T^(floor(s) - floor(anchor)) exp(-2 pi (H(s) -
+    H(anchor)) + 2 pi i xdual (s + c)), H(s) = s^2 / 2 + c s, in 40 digits."""
+    with mpmath.workdps(40):
+        log_t, c = mpmath.log(mpmath.mpf(tt.system.monodromy[0, 0].real)), mpmath.mpf(tt.graph.c)
+        a = mpmath.mpf(anchor)
+        total = mpmath.mpc(0)
+        for m in range(-200, 201):
+            s = mpmath.mpf(t) + m
+            exponent = (mpmath.floor(s) - mpmath.floor(a)) * log_t - mpmath.pi * (s * s - a * a + 2 * c * (s - a))
+            total += mpmath.exp(exponent + 2j * mpmath.pi * mpmath.mpf(xdual) * (s + c))
+        return complex(total)
+
+
 def test_theta_batch_refuses_an_overflowing_lattice_sum():
     # log|T^k| = 2*pi*a*k against the weight -pi*k^2 puts the peak a shifts
     # from the nominal one; peak_reach = 1 + floor(a) widens the window to it
@@ -449,22 +466,49 @@ def test_theta_batch_refuses_an_overflowing_lattice_sum():
 
     outside = TwistedTransport(g, LocalSystem([[math.exp(2 * math.pi * 15.0)]]))
     # anchored at 16, the lifts near the nominal peak at 0 carry T^-16 v, which
-    # underflows to 0, against an area weight that overflows: 0 * inf sums to NaN
+    # underflows, against an area weight that overflows; the unit-determinant
+    # power table and the twist's k log|det T| meet in one exponent, so the
+    # sum is finite and within its truncation bound of the exact one
     comp = outside.geometry.components[0]
     sec = ThetaSection(outside, (HorizontalCoefficient(outside.system, comp, 16.0, [1.0]),), K=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        value = theta_eval(sec, MirrorPoint(0.3, 0.2))
+    exact = exact_line_sum(outside, 16.0, 0.3, 0.2)
+    assert 0.0 < value.trunc_bound < 1e-7 * abs(exact)
+    assert abs(value.values[0, 0] - exact) <= value.trunc_bound + 1e-12 * abs(exact)
+
+    # the standard section (c = 0.3, anchored at -0.3) at t = 0.15 has a
+    # largest term near e^758, beyond the double range, so it is refused
+    steep = TwistedTransport(make_graph(p=1, q=1, c=0.3, id="steep"), LocalSystem(outside.system.monodromy))
+    s = 0.15 + np.arange(-40, 41)
+    log_terms = 2 * math.pi * 15.0 * (np.floor(s) + 1) - math.pi * (s * s - 0.09 + 0.6 * (s + 0.3))
+    assert 757.0 < log_terms.max() < 759.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericsError, match="steep/r0"):
-            theta_eval(sec, MirrorPoint(0.3, 0.2))
+            theta_eval(standard_section(steep), MirrorPoint(0.15, 0.2))
 
 
 def test_theta_refuses_a_tail_bound_that_overflows():
-    # T^k v overflows in a tail lift, whose bound was NaN beside a finite value
+    # T = 1.709e10 overflowed T^k v in a tail lift, whose bound was NaN beside
+    # a finite value; the unit-determinant power table keeps it finite, and the
+    # sum matches the exact one to rounding (the tails underflow to 0)
     tt = TwistedTransport(make_graph(p=1, q=1, c=0.5, id="tail"), LocalSystem([[1.709e10]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        value = theta_eval(standard_section(tt, 25), MirrorPoint(0.0, 0.0))
+    exact = exact_line_sum(tt, -0.5, 0.0, 0.0)
+    assert abs(value.values[0, 0] - exact) <= value.trunc_bound + 1e-12 * abs(exact)
+    # mixed moduli leave T' = T: T^k e0 = e^(16 pi k) e0 overflows in the far
+    # lifts of the 69-lift window and in its tail lifts, so the sum is refused
+    mixed = TwistedTransport(
+        make_graph(p=1, q=1, c=0.3, id="tail"), LocalSystem(np.diag([math.exp(2 * math.pi * 8), math.exp(-2 * math.pi * 8)]))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericsError, match="tail/r0: .* tail bound is not finite"):
-            theta_eval(standard_section(tt, 25), MirrorPoint(0.0, 0.0))
+            theta_eval(standard_section(mixed, 25), MirrorPoint(0.15, 0.2))
 
 
 def full_window_terms(coeff, t_branch, where, xdual, K):
