@@ -208,12 +208,16 @@ def dbar_check(section: ThetaSection, tol: float) -> tuple[float, float]:
     kernel's phase at 2 pi xdual Y' (xbar the largest sample xdual), the area
     weight exp(-pi S u^2) at 2 pi sqrt(S) across its width.  The stencil errs by
     lam^5 h^4 / 30 on exp(lam z), and h is the largest DBAR_STEP / 2^k that keeps
-    that within tol / 10.  The pass rule stays residual <= tol, so a model that
-    is too optimistic fails loudly, and a real fault reads its size at any step.
+    that within tol / 10.  On a line, T moves the largest lift up to
+    L / (2 pi p) past the vertex, L = max |log sigma(T)|, where the
+    log-magnitude drifts at L / q more; lam adds that drift.  The pass rule
+    stays residual <= tol, so a model that is too optimistic fails loudly, and
+    a real fault reads its size at any step.
     """
     g = section.parent.graph
     slope = abs(g.p) / g.q + sum(2 * math.pi * abs(w.m) / g.q * (abs(w.a) + abs(w.b)) for w in g.wiggle)
-    rate = 2 * math.pi * (max(x for _, x in DBAR_SAMPLE_POINTS) * slope + math.sqrt(slope))
+    drift = section.parent.system.log_stretch() / g.q if g.p > 0 else 0.0
+    rate = 2 * math.pi * (max(x for _, x in DBAR_SAMPLE_POINTS) * slope + math.sqrt(slope)) + drift
     h = DBAR_STEP
     while rate**5 * h**4 / 30 > tol / 10:
         h /= 2

@@ -6,21 +6,24 @@ branch j collects the lattice lifts of the curve over t + j, each weighted
 by the coefficient value there and the kernel exp(2*pi*i * xdual * v) in
 the fiber value v.  The holomorphic coordinate is z = xdual + i*t.
 
-_coefficient_values is the one evaluation path: for the U distinct t
-values of P mirror points it lays out, per coefficient, the lattice lifts
-of every branch as one (U, q, lifts) array, takes the coefficient's flat
-transports and twists on all of it at once (a sampled coefficient's
-function gets the whole array too), and takes the tail bound.  The lifts
+_coefficient_values is the one evaluation path.  For the U distinct t
+values of P mirror points it takes all C line coefficients of a section in
+one stacked pass over a (C, U, q, lifts) array (_lattice_sums).  The lifts
 form one fixed window: K + R shifts either side of the lift nearest the
-vertex of the quadratic weight, where R is the coefficient's peak_reach,
-a bound on how far its largest lift can lie from that one.  None of that
-depends on the dual coordinate, so only the kernel weight and the sum are
-computed per point, and only over the lifts that can be nonzero: the
-leading shifts of the window up to the last one where some distinct t has
-log|T^k v| + twist >= LOG_UNDERFLOW = -760, below which a term rounds to
-exactly 0.  Leaving out those zeros moves the values only by summation
-order.  theta_eval_batch sums the coefficients; theta_eval,
-tensor_compat_check and app.sample_section call it.
+vertex of each coefficient's quadratic weight, where R is the section's
+peak_reach, a bound on how far the largest lift can lie from that one.
+Horizontal coefficients share one table of T'^k V for the n x C matrix V
+of their vectors, and each lift's log-magnitude is read off its table row;
+each lift s = t + q m of a row point t takes its height Y(t) + r + p m from
+one evaluation of Y on the rows, and its twist in vertex form, with the
+periodic part of the primitive taken at the rows and the anchors
+(_vertex_twist).  A sampled coefficient's function gets the whole lift
+array instead.  None of that depends on the dual coordinate, so only the
+kernel weight and the sum are computed per point, and only over the lifts
+that can be nonzero: the leading shifts of the window up to the last one
+where some row has log|T^k v| + twist >= LOG_UNDERFLOW = -760, below which
+a term rounds to exactly 0.  theta_eval_batch sums the coefficients;
+theta_eval, tensor_compat_check and app.sample_section call it.
 
 dbar_residuals differences each coefficient's nine values on a
 fourth-order stencil of step h around each of its points, all points'
@@ -38,14 +41,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import localsys
 from .errors import DecayError, NumericsError, UnsupportedError, ValidationError
 from .geometry import CIRCLE, LINE, Harmonic, LagrangianGraph, LiftComponent, lift_components
 from .localsys import HorizontalSection, LocalSystem, TwistedTransport, circle_monodromy, log_norm, trivial_system
 
 TWO_PI = 2.0 * math.pi
 
-#: points evaluated together inside one batch; bounds the (points, q, lifts, n)
-#: arrays to a few MB
+#: coefficient values evaluated together inside one batch (points times
+#: coefficients); bounds the (coefficients, points, q, lifts, n) arrays to a few MB
 BATCH_CHUNK = 1024
 #: relative defect |hol v - v| below which a circle coefficient's vector
 #: counts as fixed by the twisted monodromy
@@ -111,8 +115,7 @@ class HorizontalCoefficient(HorizontalSection):
         largest |log sigma| over T's singular values, per shift.  A lift beats
         its neighbour nearer the nominal peak only if |k| <= 1 + L / (2*pi*p*q)."""
         g = self.component.parent
-        big_l = np.max(np.abs(np.log(np.linalg.svd(self.system.monodromy, compute_uv=False))))
-        return 1 + math.floor(big_l / (TWO_PI * g.p * g.q))
+        return 1 + math.floor(self.system.log_stretch() / (TWO_PI * g.p * g.q))
 
     def tail_bound(self, lo_term, hi_term):
         g = self.component.parent
@@ -181,6 +184,14 @@ class ThetaSection:
         for coeff in self.coefficients:
             if coeff.rank != self.parent.rank:
                 raise ValidationError("coefficient rank does not match the local system")
+        # the line coefficients are summed in one pass, on one power table
+        for first, coeff in zip(self.coefficients, self.coefficients[1:]):
+            if (
+                type(coeff) is not type(first)
+                or coeff.component.parent != first.component.parent
+                or (hasattr(coeff, "system") and not np.array_equal(coeff.system.monodromy, first.system.monodromy))
+            ):
+                raise ValidationError("a section's coefficients must be of one kind, on one curve, with one local system")
 
 
 def standard_section(tt: TwistedTransport, K: int = 25) -> ThetaSection:
@@ -211,53 +222,90 @@ def unit_object(n: int = 1) -> TwistedTransport:
     return TwistedTransport(LagrangianGraph(id="unit", q=1, p=0, c=0.0), trivial_system(n))
 
 
-def _line_sums(
-    coeff, t_branch: np.ndarray, where: np.ndarray, xdual: np.ndarray, K: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice sums of one line coefficient at P points whose branch points
-    are the rows t_branch[where] (t_branch (U, q) holds each distinct row
-    once), against xdual (P,): the sums (P, q, n) and their truncation
-    bounds (P, q).
+def _vertex_twist(lines, t_branch: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The log area weight of each horizontal coefficient at the lifts
+    s = t + q m of the rows t_branch (U, q), m (C, U, q, L): -2 pi times
+    the primitive of Y + r from the anchor a to s, in vertex form about
+    v = -(c + r) q / p, as (p / 2q)((s - v)^2 - (a - v)^2) + W~(t) - W~(a)
+    with W~ the periodic part of the primitive.  Every term is of the size
+    of the lift's own weight, where a difference of primitives at s and a
+    rounds at the size p c^2 q."""
+    g = lines[0].component.parent
+    vertex = np.array([coeff.component.vertex for coeff in lines])
+    anchor = np.array([coeff.anchor_t for coeff in lines])
+    d = (t_branch - vertex[:, None, None])[..., None] + g.q * m
+    d_anchor = (anchor - vertex)[:, None, None, None]
+    wiggle = g.wiggle_primitive(t_branch)[..., None] - g.wiggle_primitive(anchor)[:, None, None, None]
+    return -TWO_PI * (g.p / (2 * g.q) * (d * d - d_anchor * d_anchor) + wiggle)
 
-    The window is fixed: the K + coeff.peak_reach lattice shifts on either
-    side of the nominal peak m0 (the lift nearest the vertex of the
-    quadratic weight), summed in ascending |shift| order with the positive
-    side first, then one tail term on each side for the bound.  peak_reach
-    bounds how far from m0 the coefficient's largest lift can lie.  Only the
-    kernel weight exp(2*pi*i * xdual * v) depends on xdual; the lifts, flat
-    transports, twists and tail bound are computed once per distinct row.
-    The per-point kernel, product and sum stop at the last shift where some
-    distinct row has log|T^k v| + twist >= LOG_UNDERFLOW (-760): every term
-    past it is under 2^-1075 and rounds to exactly 0, so the values move only
-    by summation order, and the tail bound is unchanged.  A shift whose
-    log-magnitude is not finite is always kept.
-    Raises NumericsError when a sum or a tail term is not finite (T^k v or
-    the area weight overflows).
+
+def _line_window(lines, t_branch: np.ndarray, K: int):
+    """The window of the C line coefficients over the rows t_branch (U, q):
+    the lattice shifts m (C, U, q, L) of the lifts s = t + q m, the flat
+    parts (C, U, q, L, n), log|flat| + twist and the twist (C, U, q, L).
+
+    The K + R shifts either side of each coefficient's nominal peak (the
+    lift nearest its vertex), R the section's peak_reach, in ascending
+    |shift| order with the positive side first, then one tail term each
+    side for the bound.  Horizontal coefficients read their flat parts and
+    log-magnitudes off one table of T'^k V, V the n x C matrix of their
+    vectors; a sampled coefficient's function gets its lift array.
     """
-    comp = coeff.component
-    g = comp.parent
-    reach = K + coeff.peak_reach
-    shifts = [0] + [sign * d for d in range(1, reach + 1) for sign in (1, -1)] + [-(reach + 1), reach + 1]
-    m0 = np.rint((comp.vertex - t_branch) / g.q)
-    s = t_branch[..., None] + g.q * (m0[..., None] + np.array(shifts))
+    g = lines[0].component.parent
+    reach = K + lines[0].peak_reach
+    order = [0] + [sign * d for d in range(1, reach + 1) for sign in (1, -1)] + [-(reach + 1), reach + 1]
+    vertex = np.array([coeff.component.vertex for coeff in lines])[:, None, None]
+    m = np.rint((vertex - t_branch) / g.q)[..., None] + np.array(order)
+    if isinstance(lines[0], SampledCoefficient):
+        lifts = t_branch[..., None] + g.q * m
+        flat, twist = (np.stack(part) for part in zip(*(c.flat_and_twist(s) for c, s in zip(lines, lifts))))
+        return m, flat, log_norm(flat) + twist, twist
+    anchor = np.array([coeff.anchor_t for coeff in lines])[:, None, None, None]
+    k = (np.floor(t_branch / g.q)[..., None] + m - np.floor(anchor / g.q)).astype(int)
+    k_lo, k_hi = min(int(k.min()), 0), max(int(k.max()), 0)
+    unit, log_scale = lines[0].system.unit_form()
+    vectors = np.stack([coeff.vector for coeff in lines], axis=1)
+    table = localsys._power_table(unit, vectors, k_lo, k_hi).swapaxes(1, 2)  # (k, C, n)
+    rows = (k - k_lo, np.arange(len(lines))[:, None, None, None])
+    twist = _vertex_twist(lines, t_branch, m) + k * log_scale
+    return m, table[rows], log_norm(table)[rows] + twist, twist
+
+
+def _lattice_sums(lines, t_branch: np.ndarray, where: np.ndarray, xdual: np.ndarray, K: int):
+    """Lattice sums of the C line coefficients at P points whose branch
+    points are the rows t_branch[where] (t_branch (U, q) holds each distinct
+    row once), against xdual (P,): the sums (P, C, q, n) and their truncation
+    bounds (P, C, q).
+
+    Only the kernel weight exp(2 pi i xdual (Y(t) + r + p m)) is per point,
+    with Y taken once on the rows, and it runs only up to the last shift
+    where some row has log|T^k v| + twist >= LOG_UNDERFLOW: every term past
+    it rounds to exactly 0, and the sum is sequential, so a point's value
+    has the same bits whatever the cut.  A shift whose log-magnitude is not
+    finite is always kept.  Raises NumericsError, naming the component,
+    when a sum or a tail term is not finite.
+    """
+    g = lines[0].component.parent
+    shift = np.array([coeff.component.shift for coeff in lines])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        flat, twist = coeff.flat_and_twist(s)
-        log_mag = log_norm(flat[..., :-2, :]) + twist[..., :-2]
+        m, flat, log_mag, twist = _line_window(lines, t_branch, K)
         # a non-finite log-magnitude stays live, so 0 * inf still sums to NaN
-        live = (log_mag >= LOG_UNDERFLOW) | ~np.isfinite(log_mag)
-        cut = 1 + np.max(np.flatnonzero(live.any(axis=(0, 1))), initial=0)
-        heights = comp.height(s[..., :cut])[where]
-        weight = np.exp(twist[..., :cut][where] + 2j * math.pi * xdual[:, None, None] * heights)
+        live = (log_mag[..., :-2] >= LOG_UNDERFLOW) | ~np.isfinite(log_mag[..., :-2])
+        cut = 1 + np.max(np.flatnonzero(live.any(axis=(0, 1, 2))), initial=0)
+        heights = (g.height(t_branch)[where] + shift)[..., None] + g.p * m[:, where, :, :cut]
+        weight = np.exp(twist[:, where, :, :cut] + 2j * math.pi * xdual[:, None, None] * heights)
         # sequential, so the exact zeros past a row's own last live column
         # leave its sum bit-equal whatever cut the rest of the batch needs
-        sums = (flat[..., :cut, :][where] * weight[..., None]).cumsum(axis=-2)[..., -1, :]
-        tail_norms = np.exp(log_norm(flat[..., -2:, :]) + twist[..., -2:])
-    if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(tail_norms))):
+        sums = (flat[:, where, :, :cut, :] * weight[..., None]).cumsum(axis=-2)[..., -1, :]
+        tails = np.exp(log_mag[..., -2:])
+    finite = np.isfinite(sums).all(axis=(1, 2, 3)) & np.isfinite(tails).all(axis=(1, 2, 3))
+    if not finite.all():
         raise NumericsError(
-            f"component {comp.label}: the lattice sum over {2 * reach + 1} lifts or its tail bound "
-            "is not finite (T^k v or the area weight overflows)"
+            f"component {lines[int(np.argmin(finite))].component.label}: the lattice sum over "
+            f"{m.shape[-1] - 2} lifts or its tail bound is not finite (T^k v or the area weight overflows)"
         )
-    return sums, coeff.tail_bound(tail_norms[..., 0], tail_norms[..., 1])[where]
+    bounds = [coeff.tail_bound(tails[c, ..., 0], tails[c, ..., 1])[where] for c, coeff in enumerate(lines)]
+    return sums.swapaxes(0, 1), np.stack(bounds, axis=1)
 
 
 def _coefficient_values(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -268,20 +316,23 @@ def _coefficient_values(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarr
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if ts.shape != xs.shape:
         raise ValidationError(f"got {ts.size} t values but {xs.size} xdual values")
-    g = sec.parent.graph
-    values = np.zeros((ts.size, len(sec.coefficients), g.q, sec.parent.rank), dtype=complex)
+    g, coeffs = sec.parent.graph, sec.coefficients
+    values = np.zeros((ts.size, len(coeffs), g.q, sec.parent.rank), dtype=complex)
     tails = np.zeros(values.shape[:-1])
-    for rows in (slice(lo, lo + BATCH_CHUNK) for lo in range(0, ts.size, BATCH_CHUNK)):
+    if not coeffs:
+        return values, tails
+    chunk = max(BATCH_CHUNK // len(coeffs), 1)
+    for rows in (slice(lo, lo + chunk) for lo in range(0, ts.size, chunk)):
         distinct, where = np.unique(ts[rows], return_inverse=True)
         t_branch = distinct[:, None] + np.arange(g.q)
-        for c, coeff in enumerate(sec.coefficients):
-            if coeff.component.kind == LINE:
-                values[rows, c], tails[rows, c] = _line_sums(coeff, t_branch, where, xs[rows], sec.K)
-            else:
-                flat, twist = coeff.flat_and_twist(t_branch)
-                heights = coeff.component.height(t_branch)[where]
-                kern = np.exp(twist[where] + 2j * math.pi * xs[rows, None] * heights)
-                values[rows, c] = flat[where] * kern[..., None]
+        if coeffs[0].component.kind == LINE:
+            values[rows], tails[rows] = _lattice_sums(coeffs, t_branch, where, xs[rows], sec.K)
+            continue
+        for c, coeff in enumerate(coeffs):
+            flat, twist = coeff.flat_and_twist(t_branch)
+            heights = coeff.component.height(t_branch)[where]
+            kern = np.exp(twist[where] + 2j * math.pi * xs[rows, None] * heights)
+            values[rows, c] = flat[where] * kern[..., None]
     return values, tails
 
 

@@ -72,8 +72,9 @@ class LagrangianGraph:
     Construction builds the curve's harmonic table once: the frequencies
     omega = 2*pi*m/q and, for W and W', the coefficient vectors of
     cos(omega t) and sin(omega t).  Y, Y' and the primitive take
-    one cos and one sin of the outer product omega x t and a vector-matrix
-    product per evaluation, whatever the number of harmonics.
+    one cos and one sin of the outer product omega x t per evaluation,
+    whatever the number of harmonics, then a vector-matrix product (Y, Y')
+    or a harmonic-by-harmonic sum (the primitive's periodic part).
     """
 
     id: str
@@ -137,10 +138,17 @@ class LagrangianGraph:
 
     def height_primitive(self, t):
         """Exact antiderivative of Y with height_primitive(0) = 0."""
+        t = np.asarray(t, dtype=float)
+        g = 0.5 * (self.p / self.q) * t * t + self.c * t + self.wiggle_primitive(t)
+        return g if g.shape else float(g)
+
+    def wiggle_primitive(self, t):
+        """The antiderivative of W that vanishes at 0, periodic of period q.
+        The harmonics are summed one after another, so each entry's bits do
+        not depend on the rest of the array."""
         t, cos, sin = self._phases(t)
         a, b = self._table[0] / self._omega
-        g = 0.5 * (self.p / self.q) * t * t + self.c * t + (a @ sin + b @ (1.0 - cos)).reshape(t.shape)
-        return g if g.shape else float(g)
+        return (a[:, None] * sin + b[:, None] * (1.0 - cos)).sum(axis=0).reshape(t.shape)
 
     def wiggle_bound(self) -> float:
         """sup |W|, bounded by the sum of coefficient magnitudes."""

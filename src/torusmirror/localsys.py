@@ -44,6 +44,16 @@ class LocalSystem:
     def rank(self) -> int:
         return self.monodromy.shape[0]
 
+    def unit_form(self) -> tuple[np.ndarray, float]:
+        """T' = T |det T|^(-1/n), of unit |det|, and log|det T| / n."""
+        log_scale = np.linalg.slogdet(self.monodromy)[1] / self.rank
+        return self.monodromy * math.exp(-log_scale), float(log_scale)
+
+    def log_stretch(self) -> float:
+        """L = max(log|T|_2, log|T^-1|_2), the largest |log sigma| over T's
+        singular values: the most log|T^k v| can move per seam crossing."""
+        return float(np.max(np.abs(np.log(np.linalg.svd(self.monodromy, compute_uv=False)))))
+
     def is_quasi_unitary(self, tol: float = QUASI_UNITARY_TOL) -> bool:
         """All monodromy eigenvalues on the unit circle, up to tol."""
         return bool(np.all(np.abs(np.abs(np.linalg.eigvals(self.monodromy)) - 1.0) <= tol))
@@ -90,18 +100,18 @@ def log_norm(vectors: np.ndarray) -> np.ndarray:
 
 def _power_table(monodromy: np.ndarray, v: np.ndarray, k_lo: int, k_hi: int) -> np.ndarray:
     """Rows T^k v for k_lo <= k <= k_hi (a range that holds 0), built outward
-    from v by repeated multiplication, with T^-1 below zero.  Each row is the
+    from v by repeated multiplication, with T^-1 below zero; v is an n-vector
+    or an n x C matrix of C vectors, recursed on together.  Each row is the
     same whatever range is asked for."""
-    rows = [v]
-    for _ in range(k_hi):
-        rows.append(monodromy @ rows[-1])
+    rows = np.empty((k_hi - k_lo + 1,) + np.shape(v), dtype=complex)
+    rows[-k_lo] = v
+    for k in range(1 - k_lo, k_hi - k_lo + 1):
+        np.dot(monodromy, rows[k - 1], out=rows[k])
     if k_lo < 0:
         inverse = np.linalg.inv(monodromy)
-        below = [inverse @ v]
-        for _ in range(-k_lo - 1):
-            below.append(inverse @ below[-1])
-        rows = below[::-1] + rows
-    return np.array(rows)
+        for k in range(-k_lo - 1, -1, -1):
+            np.dot(inverse, rows[k + 1], out=rows[k])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -137,8 +147,8 @@ class HorizontalSection:
         t = np.asarray(t, dtype=float)
         k = _seam_crossings(self.component.parent.q, self.anchor_t, t)
         k_lo, k_hi = int(k.min(initial=0)), int(k.max(initial=0))
-        log_scale = np.linalg.slogdet(self.system.monodromy)[1] / self.rank
-        flat = _power_table(self.system.monodromy * math.exp(-log_scale), self.vector, k_lo, k_hi)[k - k_lo]
+        unit, log_scale = self.system.unit_form()
+        flat = _power_table(unit, self.vector, k_lo, k_hi)[k - k_lo]
         return flat, np.asarray(twist_exponent(self.component, self.anchor_t, t) + k * log_scale)
 
     def __call__(self, t) -> np.ndarray:
@@ -173,10 +183,8 @@ def quasi_unitarize(system: LocalSystem, graph: LagrangianGraph) -> tuple[LocalS
     absolute value, T' is quasi-unitary; otherwise the flag on the result
     stays honest and reports mixed moduli.
     """
-    n = system.rank
-    _, logdet = np.linalg.slogdet(system.monodromy)
-    scaled = LocalSystem(system.monodromy * math.exp(-logdet / n))
-    return scaled, logdet / (TWO_PI * n * graph.q)
+    unit, log_scale = system.unit_form()
+    return LocalSystem(unit), log_scale / (TWO_PI * graph.q)
 
 
 def unitarization_twist(mu_coeff: float) -> tuple[LagrangianGraph, LocalSystem]:

@@ -30,7 +30,7 @@ from torusmirror.fourier import (
     unit_object,
 )
 from torusmirror.geometry import LiftComponent, lift_components
-from torusmirror.localsys import LocalSystem, TwistedTransport, log_norm, trivial_system
+from torusmirror.localsys import LocalSystem, TwistedTransport, trivial_system
 
 from conftest import make_graph, random_unitary
 
@@ -304,14 +304,16 @@ def test_tensor_compat_builds_each_power_table_once_per_evaluation(monkeypatch):
     power_table = localsys._power_table
 
     def counted(*args):
-        tables.append(args[2:])
+        tables.append(np.shape(args[1]))
         return power_table(*args)
 
     monkeypatch.setattr(localsys, "_power_table", counted)
     tensor_compat_check(canonical_object(), canonical_object(), grid=(10, 10), K=30)
-    # one table per factor's own section, then one per factor for each of
-    # the convolution's two line coefficients
+    # one table per factor's own section, on the n x C matrix of its one
+    # coefficient's vector, then one per factor for each of the
+    # convolution's two line coefficients, on the factor's vector
     assert len(tables) == 2 + 2 * 2
+    assert tables == [(1, 1)] * 2 + [(1,)] * 4
 
 
 def test_tensor_compat_unsupported_shapes():
@@ -431,9 +433,9 @@ def test_truncation_bound_sums_the_coefficients_tails():
     ts, xs = np.array([0.15, 0.35, 0.8]), np.array([0.2, 0.6, -0.3])
     _, bound = theta_eval_batch(sec, ts, xs)
     t_branch, where = ts[:, None] + np.arange(g.q), np.arange(ts.size)
-    tails = [fourier._line_sums(coeff, t_branch, where, xs, sec.K)[1] for coeff in sec.coefficients]
-    assert len(tails) == 3 and np.all(np.min(tails, axis=0) > 0.0)
-    np.testing.assert_allclose(bound, np.sum(tails, axis=0).max(axis=-1), rtol=1e-15)
+    tails = fourier._lattice_sums(sec.coefficients, t_branch, where, xs, sec.K)[1]  # (P, C, q)
+    assert tails.shape[1] == 3 and np.all(np.min(tails, axis=1) > 0.0)
+    np.testing.assert_allclose(bound, np.sum(tails, axis=1).max(axis=-1), rtol=1e-15)
     # each coefficient twice: twice the error, twice the bound
     _, doubled = theta_eval_batch(ThetaSection(sec.parent, sec.coefficients * 2, sec.K), ts, xs)
     np.testing.assert_allclose(doubled, 2.0 * bound, rtol=1e-15)
@@ -511,20 +513,21 @@ def test_theta_refuses_a_tail_bound_that_overflows():
             theta_eval(standard_section(mixed, 25), MirrorPoint(0.15, 0.2))
 
 
-def full_window_terms(coeff, t_branch, where, xdual, K):
-    """Every term of _line_sums' window, computed as before the per-point
-    work stopped at the last live lift: the terms (P, q, 2(K + R) + 1, n),
-    in the window's ascending-|shift| order, and the truncation bounds (P, q)."""
-    comp, g = coeff.component, coeff.component.parent
-    reach = K + coeff.peak_reach
-    shifts = [0] + [sign * d for d in range(1, reach + 1) for sign in (1, -1)] + [-(reach + 1), reach + 1]
-    s = t_branch[..., None] + g.q * (np.rint((comp.vertex - t_branch) / g.q)[..., None] + np.array(shifts))
+def full_window_terms(lines, t_branch, where, xdual, K):
+    """Every term of the lattice sums' window, computed as before the
+    per-point work stopped at the last live lift: the terms
+    (P, C, q, 2(K + R) + 1, n), in the window's ascending-|shift| order, and
+    the truncation bounds (P, C, q)."""
+    g = lines[0].component.parent
+    shift = np.array([coeff.component.shift for coeff in lines])[:, None, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        flat, twist = coeff.flat_and_twist(s)
-        kern = 2j * math.pi * xdual[:, None, None] * comp.height(s[..., :-2])[where]
-        terms = flat[..., :-2, :][where] * np.exp(twist[..., :-2][where] + kern)[..., None]
-        tails = np.exp(log_norm(flat[..., -2:, :]) + twist[..., -2:])
-    return terms, coeff.tail_bound(tails[..., 0], tails[..., 1])[where]
+        m, flat, log_mag, twist = fourier._line_window(lines, t_branch, K)
+        heights = g.height(t_branch)[where][..., None] + shift + g.p * m[:, where, :, :-2]
+        kern = 2j * math.pi * xdual[:, None, None] * heights
+        terms = flat[:, where, :, :-2, :] * np.exp(twist[:, where, :, :-2] + kern)[..., None]
+        tails = np.exp(log_mag[..., -2:])
+    bounds = [coeff.tail_bound(tails[c, ..., 0], tails[c, ..., 1])[where] for c, coeff in enumerate(lines)]
+    return terms.swapaxes(0, 1), np.stack(bounds, axis=1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -539,29 +542,30 @@ def test_line_sums_match_the_full_window(tt, K, points):
     ts, xs = np.array(points).T
     distinct, where = np.unique(ts, return_inverse=True)
     t_branch = distinct[:, None] + np.arange(tt.graph.q)
-    height, lifts = LiftComponent.height, []
+    exp, lifts = np.exp, []
 
-    def spied(self, t):
-        lifts.append(np.shape(t)[-1])
-        return height(self, t)
+    def spied(x, *args, **kwargs):
+        if np.iscomplexobj(x):  # the per-point kernel
+            lifts.append(np.shape(x)[-1])
+        return exp(x, *args, **kwargs)
 
-    for coeff in standard_section(tt, K).coefficients:
-        terms, bounds = full_window_terms(coeff, t_branch, where, xs, K)
-        if not (np.all(np.isfinite(terms.sum(axis=-2))) and np.all(np.isfinite(bounds))):
-            with pytest.raises(NumericsError, match="not finite"):
-                fourier._line_sums(coeff, t_branch, where, xs, K)
-            continue
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(LiftComponent, "height", spied)
-            values, got_bounds = fourier._line_sums(coeff, t_branch, where, xs, K)
-        # the kernel ran on the leading lifts only; every lift left out was exactly 0
-        assert not np.any(terms[..., lifts[-1]:, :])
-        assert np.array_equal(got_bounds, bounds)
-        assert np.all(np.abs(values - terms.sum(axis=-2)) <= 1e-14 * np.abs(terms).sum(axis=-2))
-        # a point alone has the same bits as in the batch, whatever cut the batch took
-        for i in range(len(points)):
-            alone, _ = fourier._line_sums(coeff, t_branch[where[i] : where[i] + 1], np.zeros(1, int), xs[i : i + 1], K)
-            assert np.array_equal(alone[0], values[i])
+    lines = standard_section(tt, K).coefficients
+    terms, bounds = full_window_terms(lines, t_branch, where, xs, K)
+    if not (np.all(np.isfinite(terms.sum(axis=-2))) and np.all(np.isfinite(bounds))):
+        with pytest.raises(NumericsError, match="not finite"):
+            fourier._lattice_sums(lines, t_branch, where, xs, K)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "exp", spied)
+        values, got_bounds = fourier._lattice_sums(lines, t_branch, where, xs, K)
+    # the kernel ran on the leading lifts only; every lift left out was exactly 0
+    assert len(lifts) == 1 and not np.any(terms[..., lifts[0]:, :])
+    assert np.array_equal(got_bounds, bounds)
+    assert np.all(np.abs(values - terms.sum(axis=-2)) <= 1e-14 * np.abs(terms).sum(axis=-2))
+    # a point alone has the same bits as in the batch, whatever cut the batch took
+    for i in range(len(points)):
+        alone, _ = fourier._lattice_sums(lines, t_branch[where[i] : where[i] + 1], np.zeros(1, int), xs[i : i + 1], K)
+        assert np.array_equal(alone[0], values[i])
 
 
 def test_dbar_residual_is_one_batch(monkeypatch):
@@ -631,27 +635,93 @@ def test_theta_batch_with_repeated_t_matches_one_point_calls(tt):
 
 def test_dbar_check_step_passes_each_distinct_t_once(monkeypatch):
     from torusmirror.app import DBAR_SAMPLE_POINTS, dbar_check
-    from torusmirror.localsys import HorizontalSection
 
     g = make_graph(p=2, q=3, c=0.1, wiggle=[(1, 0.03, 0.02)])
     sec = standard_section(TwistedTransport(g, LocalSystem([[0.0, 1.5], [1.0, 0.2]])))
-    rows = []
-    flat_and_twist = HorizontalSection.flat_and_twist
+    windows = []
+    line_window = fourier._line_window
 
-    def counted(self, t):
-        rows.append(np.shape(t))
-        return flat_and_twist(self, t)
+    def counted(lines, t_branch, K):
+        out = line_window(lines, t_branch, K)
+        windows.append(out[0].shape)
+        return out
 
-    monkeypatch.setattr(HorizontalSection, "flat_and_twist", counted)
+    monkeypatch.setattr(fourier, "_line_window", counted)
     _, h = dbar_check(sec, 1.0)
     assert h == 1e-3  # one step
     # 4 sample t values x 5 stencil offsets, out of 9 stencil points for each of 8 points
     distinct_t = len({t for t, _ in DBAR_SAMPLE_POINTS}) * 5
     assert 9 * len(DBAR_SAMPLE_POINTS) == 72 and distinct_t == 20
     # 2 (K + R + 1) + 1 = 55 lifts: K + R = 26 either side of the nominal peak
-    # and one tail term each
+    # and one tail term each; one window holds both coefficients
     assert sec.K == 25 and {coeff.peak_reach for coeff in sec.coefficients} == {1}
-    assert rows == [(distinct_t, g.q, 55)] * len(sec.coefficients)
+    assert windows == [(len(sec.coefficients), distinct_t, g.q, 55)]
+
+
+def test_verify_recurses_t_once_per_line_object_and_evaluates_no_lift_array(monkeypatch):
+    # one verify_mixed seed-7 pass: the T' power recursion runs once per
+    # p > 0 object, on the matrix of its section's vectors, and inside the
+    # theta layer no trig, height or primitive call sees a lift-shaped array,
+    # only the (distinct t, q) rows and the anchors
+    from pathlib import Path
+
+    import torusmirror.localsys as localsys
+    from torusmirror.app import load_scene, run_verify
+    from torusmirror.geometry import LagrangianGraph
+
+    scene = load_scene(Path(__file__).parent / "data" / "verify_mixed_7.json")
+    tables, sizes, inside = [], [], []
+    power_table, coefficient_values = localsys._power_table, fourier._coefficient_values
+
+    def counted_table(*args):
+        tables.append(np.shape(args[1]))
+        return power_table(*args)
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return coefficient_values(*args)
+        finally:
+            inside.pop()
+
+    def spy(real, points):
+        def wrapped(*args, **kwargs):
+            if inside:
+                sizes.append((real.__name__, points(args)))
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(localsys, "_power_table", counted_table)
+    monkeypatch.setattr(fourier, "_coefficient_values", flagged)
+    for name in ("cos", "sin"):  # on the (harmonics, points) phases
+        monkeypatch.setattr(np, name, spy(getattr(np, name), lambda args: np.shape(args[0])[-1]))
+    for cls in (LagrangianGraph, LiftComponent):
+        for name in ("height", "height_primitive"):
+            monkeypatch.setattr(cls, name, spy(getattr(cls, name), lambda args: np.size(args[1])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        report = run_verify(scene)
+    lines = [tt for tt in scene.objects if tt.graph.p > 0]
+    assert len(lines) == 7 and all(entry["errors"] == [] for entry in report.objects)
+    assert tables == [(tt.rank, tt.graph.p) for tt in sorted(lines, key=lambda tt: tt.id)]
+    # 20 distinct t times q <= 3 branches; a lift array holds 55 lifts per row
+    assert sizes and {name for name, _ in sizes} >= {"cos", "sin", "height"}
+    assert max(points for _, points in sizes) <= 20 * 3, sizes
+
+
+def test_section_refuses_coefficients_it_cannot_sum_in_one_pass():
+    # the line coefficients share one window and one power table, so they
+    # must be of one kind, on one curve, with one local system
+    tt = TwistedTransport(make_graph(p=2, q=1, c=0.1), LocalSystem([[1j]]))
+    horizontal = standard_section(tt).coefficients
+    sampled = SampledCoefficient(horizontal[0].component, lambda s: np.ones(np.shape(s) + (1,)))
+    other = standard_section(TwistedTransport(make_graph(p=2, q=1, c=0.2), LocalSystem([[1j]]))).coefficients
+    turned = HorizontalCoefficient(LocalSystem([[-1j]]), horizontal[1].component, horizontal[1].anchor_t, [1.0])
+    for coeffs in ((horizontal[0], sampled), (horizontal[0], other[1]), (horizontal[0], turned)):
+        with pytest.raises(ValidationError, match="one kind, on one curve, with one local system"):
+            ThetaSection(tt, coeffs)
+    assert ThetaSection(tt, horizontal).coefficients == horizontal
 
 
 def test_dbar_residuals_check_the_seam_margin_at_every_point():
