@@ -13,7 +13,7 @@ and the line is certified on D0: its index is +-1 by shape, and one
 Sturm count of the full-rank side's real tridiagonal Gram (for p < 0, read
 backwards) certifies the singular-value margin of that side, which fixes
 kernel and cokernel.  The count is one LAPACK dstebz call per line,
-scipy's one runtime use, and a refused line reports its exact margin.  Y
+scipy's one runtime use; a refused line takes one more for its margin.  Y
 is evaluated once per object, on one period's lattice points: lines tile
 it by Y(t + q) = Y(t) + p, and every circle shift shares it.  T enters
 circles only: they reduce to the discrete loop propagator P = T lambda_h,
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import NumericsError, UnsupportedError, ValidationError, WindowError
 from .floer import RANK_TOL
 from .geometry import CIRCLE, LiftComponent
-from .localsys import TwistedTransport, circle_monodromy
+from .localsys import TwistedTransport, circle_monodromy, twist_exponent
 
 TWO_PI = 2.0 * math.pi
 
@@ -321,31 +321,30 @@ def _row_sum_bound(diag: np.ndarray, sub: np.ndarray) -> float:
     return float((np.abs(diag) + np.append(0.0, mag) + np.append(mag, 0.0)).max())
 
 
-def _gram_eigenvalues(diag: np.ndarray, sub: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The eigenvalues of the tridiagonal G in (lo, hi], ascending: one
-    LAPACK dstebz call.  Their number is a Sturm count, the inertia of the
-    LDL^T factors of G - lo I and G - hi I (the recurrence mu <- d - e^2 /
-    mu), which is backward stable, so rounding stays at O(eps * |G|); only
-    an interval that holds eigenvalues is bisected.  The count is undefined
-    on NaN entries, so the caller checks G is finite."""
+def _gram_count(diag: np.ndarray, sub: np.ndarray, lo: float, hi: float) -> tuple[int, float]:
+    """The number of eigenvalues of the tridiagonal G in (lo, hi] by one
+    LAPACK dstebz call, at a tolerance of the interval's width so that none
+    is bisected, and if it is not 0 G's smallest eigenvalue by a second call
+    (else NaN).  The number is a Sturm count, the inertia of the LDL^T
+    factors of G - lo I and G - hi I, which is backward stable; it is
+    undefined on NaN entries, so the caller checks G is finite."""
     from scipy.linalg.lapack import dstebz  # loaded on first use, off the load path
 
-    count, w, *_ = dstebz(diag, sub, 1, lo, hi, 0, 0, 0.0, "E")
-    return w[:count]
+    count = int(dstebz(diag, sub, 1, lo, hi, 0, 0, hi - lo, "E")[0])
+    return count, float(dstebz(diag, sub, 2, 0.0, 0.0, 1, 1, 0.0, "E")[1][0]) if count else math.nan
 
 
 def _validate_window(comp: LiftComponent, lo: float, hi: float) -> None:
     """The weight at both ends of [lo, hi] must lie 1e-12 below its value at
-    the vertex (lo + hi) / 2, a lower bound on its peak."""
-    log_w = -TWO_PI * comp.height_primitive(np.array([lo, 0.5 * (lo + hi), hi]))
-    if comp.parent.p < 0:
-        log_w = -log_w
+    the vertex (lo + hi) / 2, a lower bound on its peak: a drop of -sign(p) twist."""
+    g, mid = comp.parent, 0.5 * (lo + hi)
+    drop = -math.copysign(1.0, g.p) * twist_exponent(g, comp.shift, mid, np.array([lo, hi]))
     needed = -math.log(1e-12)
-    for end in (float(log_w[0]), float(log_w[-1])):
-        if log_w[1] - end < needed:
+    for end in drop.tolist():
+        if end < needed:
             raise WindowError(
                 f"component {comp.label}: window [{lo:.3g}, {hi:.3g}] leaves "
-                f"boundary weight only exp(-{log_w[1] - end:.3g}) below its midpoint value; "
+                f"boundary weight only exp(-{end:.3g}) below its midpoint value; "
                 f"need exp(-{needed:.3g})"
             )
 
@@ -360,11 +359,11 @@ def _line_component_dims(
     if not math.isfinite(bound):
         raise NumericsError(f"component {comp.label}: the full-rank side's Gram is not finite")
     cutoff = rank_tol * math.sqrt(bound)
-    small = _gram_eigenvalues(diag, sub, -bound, cutoff * cutoff)
-    if small.size:
+    count, smallest = _gram_count(diag, sub, -bound, cutoff * cutoff)
+    if count:
         raise NumericsError(
-            f"component {comp.label}: the full-rank side has {small.size} singular value(s) at or below "
-            f"the cutoff {cutoff:.3g}; margin sigma_min/cutoff = {math.sqrt(max(small[0], 0.0)) / cutoff:.6g}"
+            f"component {comp.label}: the full-rank side has {count} singular value(s) at or below "
+            f"the cutoff {cutoff:.3g}; margin sigma_min/cutoff = {math.sqrt(max(smallest, 0.0)) / cutoff:.6g}"
         )
     return (n, 0) if comp.parent.p > 0 else (0, n)
 

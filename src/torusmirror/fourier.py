@@ -12,18 +12,17 @@ one stacked pass over a (C, U, q, lifts) array (_lattice_sums).  The lifts
 form one fixed window: K + R shifts either side of the lift nearest the
 vertex of each coefficient's quadratic weight, where R is the section's
 peak_reach, a bound on how far the largest lift can lie from that one.
-Horizontal coefficients share one table of T'^k V for the n x C matrix V
-of their vectors, and each lift's log-magnitude is read off its table row;
-each lift s = t + q m of a row point t takes its height Y(t) + r + p m from
-one evaluation of Y on the rows, and its twist in vertex form, with the
-periodic part of the primitive taken at the rows and the anchors
-(_vertex_twist).  A sampled coefficient's function gets the whole lift
-array instead.  None of that depends on the dual coordinate, so only the
-kernel weight and the sum are computed per point, and only over the lifts
-that can be nonzero: the leading shifts of the window up to the last one
-where some row has log|T^k v| + twist >= LOG_UNDERFLOW = -760, below which
-a term rounds to exactly 0.  theta_eval_batch sums the coefficients;
-theta_eval, tensor_compat_check and app.sample_section call it.
+Every term is in log form, a bounded part times the exp of a log weight:
+horizontal coefficients read their parts off one table of T^k V, V the
+n x C matrix of their vectors, with a log scale per row, and add the twist
+(localsys.twist_exponent, on the rows and the anchors); a sampled
+coefficient's function gets the whole lift array.  Each row's terms are
+taken relative to its largest log weight, its log scale, and only the
+kernel weight and the sum are per point, over the leading lifts up to the
+last one within LOG_UNDERFLOW = -760 of its row's largest, below which a
+term rounds to exactly 0.  theta_eval_batch sums the coefficients, and
+values leave the log form there alone; theta_eval, tensor_compat_check and
+app.sample_section call it.
 
 dbar_residuals differences each coefficient's nine values on a
 fourth-order stencil of step h around each of its points, all points'
@@ -54,8 +53,8 @@ BATCH_CHUNK = 1024
 #: relative defect |hol v - v| below which a circle coefficient's vector
 #: counts as fixed by the twisted monodromy
 CIRCLE_FIXED_TOL = 1e-9
-#: log-magnitude of a lattice term below which it rounds to exactly 0 in
-#: double precision: e^-760 is under 2^-1075, half the least subnormal
+#: log-magnitude of a lattice term over its row's largest below which it
+#: rounds to exactly 0: e^-760 is under 2^-1075, half the least subnormal
 LOG_UNDERFLOW = -760.0
 
 
@@ -222,34 +221,18 @@ def unit_object(n: int = 1) -> TwistedTransport:
     return TwistedTransport(LagrangianGraph(id="unit", q=1, p=0, c=0.0), trivial_system(n))
 
 
-def _vertex_twist(lines, t_branch: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The log area weight of each horizontal coefficient at the lifts
-    s = t + q m of the rows t_branch (U, q), m (C, U, q, L): -2 pi times
-    the primitive of Y + r from the anchor a to s, in vertex form about
-    v = -(c + r) q / p, as (p / 2q)((s - v)^2 - (a - v)^2) + W~(t) - W~(a)
-    with W~ the periodic part of the primitive.  Every term is of the size
-    of the lift's own weight, where a difference of primitives at s and a
-    rounds at the size p c^2 q."""
-    g = lines[0].component.parent
-    vertex = np.array([coeff.component.vertex for coeff in lines])
-    anchor = np.array([coeff.anchor_t for coeff in lines])
-    d = (t_branch - vertex[:, None, None])[..., None] + g.q * m
-    d_anchor = (anchor - vertex)[:, None, None, None]
-    wiggle = g.wiggle_primitive(t_branch)[..., None] - g.wiggle_primitive(anchor)[:, None, None, None]
-    return -TWO_PI * (g.p / (2 * g.q) * (d * d - d_anchor * d_anchor) + wiggle)
-
-
 def _line_window(lines, t_branch: np.ndarray, K: int):
     """The window of the C line coefficients over the rows t_branch (U, q):
-    the lattice shifts m (C, U, q, L) of the lifts s = t + q m, the flat
-    parts (C, U, q, L, n), log|flat| + twist and the twist (C, U, q, L).
+    the lattice shifts m (C, U, q, L) of the lifts s = t + q m, and their
+    terms flat * exp(log): the flat parts (C, U, q, L, n), log|flat| + log
+    and log (C, U, q, L).
 
     The K + R shifts either side of each coefficient's nominal peak (the
     lift nearest its vertex), R the section's peak_reach, in ascending
     |shift| order with the positive side first, then one tail term each
     side for the bound.  Horizontal coefficients read their flat parts and
-    log-magnitudes off one table of T'^k V, V the n x C matrix of their
-    vectors; a sampled coefficient's function gets its lift array.
+    log scales off one table of T^k V, V the n x C matrix of their vectors,
+    and add the twist; a sampled coefficient's function gets its lift array.
     """
     g = lines[0].component.parent
     reach = K + lines[0].peak_reach
@@ -258,42 +241,46 @@ def _line_window(lines, t_branch: np.ndarray, K: int):
     m = np.rint((vertex - t_branch) / g.q)[..., None] + np.array(order)
     if isinstance(lines[0], SampledCoefficient):
         lifts = t_branch[..., None] + g.q * m
-        flat, twist = (np.stack(part) for part in zip(*(c.flat_and_twist(s) for c, s in zip(lines, lifts))))
-        return m, flat, log_norm(flat) + twist, twist
-    anchor = np.array([coeff.anchor_t for coeff in lines])[:, None, None, None]
+        flat, log = (np.stack(part) for part in zip(*(c.flat_and_twist(s) for c, s in zip(lines, lifts))))
+        return m, flat, log_norm(flat) + log, log
+    anchor, shift = np.array([(c.anchor_t, c.component.shift) for c in lines]).T[..., None, None, None]
     k = (np.floor(t_branch / g.q)[..., None] + m - np.floor(anchor / g.q)).astype(int)
     k_lo, k_hi = min(int(k.min()), 0), max(int(k.max()), 0)
-    unit, log_scale = lines[0].system.unit_form()
     vectors = np.stack([coeff.vector for coeff in lines], axis=1)
-    table = localsys._power_table(unit, vectors, k_lo, k_hi).swapaxes(1, 2)  # (k, C, n)
+    table, scales = localsys._power_table(lines[0].system, vectors, k_lo, k_hi)
+    table = table.swapaxes(1, 2)  # (k, C, n)
     rows = (k - k_lo, np.arange(len(lines))[:, None, None, None])
-    twist = _vertex_twist(lines, t_branch, m) + k * log_scale
-    return m, table[rows], log_norm(table)[rows] + twist, twist
+    log = localsys.twist_exponent(g, shift, anchor, t_branch[..., None], m) + scales[rows]
+    return m, table[rows], log_norm(table)[rows] + log, log
 
 
 def _lattice_sums(lines, t_branch: np.ndarray, where: np.ndarray, xdual: np.ndarray, K: int):
     """Lattice sums of the C line coefficients at P points whose branch
     points are the rows t_branch[where] (t_branch (U, q) holds each distinct
     row once), against xdual (P,): the sums (P, C, q, n) and their truncation
-    bounds (P, C, q).
+    bounds (P, C, q) relative to the log scales (P, C, q), each row's
+    largest log weight (-inf on a row of zeros).
 
     Only the kernel weight exp(2 pi i xdual (Y(t) + r + p m)) is per point,
     with Y taken once on the rows, and it runs only up to the last shift
-    where some row has log|T^k v| + twist >= LOG_UNDERFLOW: every term past
-    it rounds to exactly 0, and the sum is sequential, so a point's value
-    has the same bits whatever the cut.  A shift whose log-magnitude is not
-    finite is always kept.  Raises NumericsError, naming the component,
-    when a sum or a tail term is not finite.
+    where some row has a term within LOG_UNDERFLOW of its largest: every
+    term past it rounds to exactly 0, and the sum is sequential, so a
+    point's value has the same bits whatever the cut.  A non-finite log
+    weight is always kept, and a sum or tail term that is not finite raises
+    NumericsError, naming the component.
     """
     g = lines[0].component.parent
     shift = np.array([coeff.component.shift for coeff in lines])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        m, flat, log_mag, twist = _line_window(lines, t_branch, K)
-        # a non-finite log-magnitude stays live, so 0 * inf still sums to NaN
+        m, flat, log_mag, log = _line_window(lines, t_branch, K)
+        scale = np.max(log_mag[..., :-2], axis=-1)  # (C, U, q)
+        top = np.where(scale > -np.inf, scale, 0.0)[..., None]
+        log_mag, log = log_mag - top, log - top
+        # a non-finite log weight stays live, so 0 * inf still sums to NaN
         live = (log_mag[..., :-2] >= LOG_UNDERFLOW) | ~np.isfinite(log_mag[..., :-2])
         cut = 1 + np.max(np.flatnonzero(live.any(axis=(0, 1, 2))), initial=0)
         heights = (g.height(t_branch)[where] + shift)[..., None] + g.p * m[:, where, :, :cut]
-        weight = np.exp(twist[:, where, :, :cut] + 2j * math.pi * xdual[:, None, None] * heights)
+        weight = np.exp(log[:, where, :, :cut] + 2j * math.pi * xdual[:, None, None] * heights)
         # sequential, so the exact zeros past a row's own last live column
         # leave its sum bit-equal whatever cut the rest of the batch needs
         sums = (flat[:, where, :, :cut, :] * weight[..., None]).cumsum(axis=-2)[..., -1, :]
@@ -302,38 +289,39 @@ def _lattice_sums(lines, t_branch: np.ndarray, where: np.ndarray, xdual: np.ndar
     if not finite.all():
         raise NumericsError(
             f"component {lines[int(np.argmin(finite))].component.label}: the lattice sum over "
-            f"{m.shape[-1] - 2} lifts or its tail bound is not finite (T^k v or the area weight overflows)"
+            f"{m.shape[-1] - 2} lifts or its tail bound is not finite"
         )
     bounds = [coeff.tail_bound(tails[c, ..., 0], tails[c, ..., 1])[where] for c, coeff in enumerate(lines)]
-    return sums.swapaxes(0, 1), np.stack(bounds, axis=1)
+    return sums.swapaxes(0, 1), np.stack(bounds, axis=1), scale[:, where].swapaxes(0, 1)
 
 
-def _coefficient_values(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarray]:
+def _coefficient_values(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each of the C coefficients' transforms at the P mirror points
     (ts[i], xs[i]): the values, shape (P, C, q, n), and the truncation
-    bounds, shape (P, C, q), zero on circles."""
+    bounds, shape (P, C, q), zero on circles, relative to the log scales,
+    shape (P, C, q); a circle's one term per row has its log weight."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if ts.shape != xs.shape:
         raise ValidationError(f"got {ts.size} t values but {xs.size} xdual values")
     g, coeffs = sec.parent.graph, sec.coefficients
     values = np.zeros((ts.size, len(coeffs), g.q, sec.parent.rank), dtype=complex)
-    tails = np.zeros(values.shape[:-1])
+    tails, scales = np.zeros(values.shape[:-1]), np.zeros(values.shape[:-1])
     if not coeffs:
-        return values, tails
+        return values, tails, scales
     chunk = max(BATCH_CHUNK // len(coeffs), 1)
     for rows in (slice(lo, lo + chunk) for lo in range(0, ts.size, chunk)):
         distinct, where = np.unique(ts[rows], return_inverse=True)
         t_branch = distinct[:, None] + np.arange(g.q)
         if coeffs[0].component.kind == LINE:
-            values[rows], tails[rows] = _lattice_sums(coeffs, t_branch, where, xs[rows], sec.K)
+            values[rows], tails[rows], scales[rows] = _lattice_sums(coeffs, t_branch, where, xs[rows], sec.K)
             continue
         for c, coeff in enumerate(coeffs):
-            flat, twist = coeff.flat_and_twist(t_branch)
+            flat, log = coeff.flat_and_twist(t_branch)
             heights = coeff.component.height(t_branch)[where]
-            kern = np.exp(twist[where] + 2j * math.pi * xs[rows, None] * heights)
-            values[rows, c] = flat[where] * kern[..., None]
-    return values, tails
+            values[rows, c] = flat[where] * np.exp(2j * math.pi * xs[rows, None] * heights)[..., None]
+            scales[rows, c] = log[where]
+    return values, tails, scales
 
 
 def theta_eval_batch(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -341,9 +329,16 @@ def theta_eval_batch(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarray]
     (P, q, n), one n-vector per point and branch j = 0..q-1 (the lifts over
     t + j) summed over the coefficients; and the truncation bound, shape
     (P,), the largest over branches of the coefficients' summed bounds.
-    Raises NumericsError when a coefficient's lattice sum or tail bound is
-    not finite."""
-    values, tails = _coefficient_values(sec, ts, xs)
+    Values leave the log form here: raises NumericsError, naming the
+    component, when one lies beyond the double range."""
+    values, tails, scales = _coefficient_values(sec, ts, xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, tails = values * np.exp(scales)[..., None], tails * np.exp(scales)
+    finite = np.isfinite(values).all(axis=(0, 2, 3)) & np.isfinite(tails).all(axis=(0, 2))
+    if not finite.all():
+        c = int(np.argmin(finite))
+        label, scale = sec.coefficients[c].component.label, np.max(scales[:, c])
+        raise NumericsError(f"component {label}: the value lies beyond the double range (log scale {scale:.6g})")
     return values.sum(axis=1), tails.sum(axis=1).max(axis=-1)
 
 
@@ -369,9 +364,9 @@ def dbar_residuals(sec: ThetaSection, points, h: float = 1e-3) -> np.ndarray:
     every lattice term is annihilated exactly, so the residual measures only
     discretization error.  A point's residual is the max over coefficients
     and branches of |residual| normalized by that coefficient's largest
-    magnitude on the stencil, out of reach of the summed section's
-    cancellation; a coefficient that vanishes on a stencil raises
-    NumericsError.  The nine stencil points of every point are one batch.
+    magnitude on the stencil, all on their largest log scale, out of reach of
+    the summed section's cancellation; a coefficient that is 0 on a stencil
+    raises NumericsError.  The nine stencil points of all points are one batch.
     """
     g = sec.parent.graph
     for point in points:
@@ -385,13 +380,16 @@ def dbar_residuals(sec: ThetaSection, points, h: float = 1e-3) -> np.ndarray:
     steps = np.array([-2, -1, 1, 2]) * h
     ts = np.concatenate((t, np.repeat(t, 4, axis=1), t + steps), axis=1)
     xs = np.concatenate((x, x + steps, np.repeat(x, 4, axis=1)), axis=1)
-    values, _ = _coefficient_values(sec, ts.ravel(), xs.ravel())
+    values, _, scales = _coefficient_values(sec, ts.ravel(), xs.ravel())
     values = values.reshape(ts.shape + values.shape[1:]).swapaxes(0, 1)  # (9, P, C, q, n)
+    scales = scales.reshape(ts.shape + scales.shape[1:]).swapaxes(0, 1)  # (9, P, C, q)
+    top = np.max(scales, axis=(0, 3))  # each coefficient's largest on the stencil
+    values = values * np.exp(scales - np.where(top > -np.inf, top, 0.0)[:, :, None])[..., None]
     dbar = 0.5 * (_fd4(values[1:5], h) + 1j * _fd4(values[5:9], h))
     slope = g.slope(t + np.arange(g.q))[:, None, :, None]
     worst = np.max(np.abs(dbar + math.pi * x[..., None, None] * slope * values[0]), axis=(2, 3))
     scale = np.max(np.abs(values), axis=(0, 3, 4))  # (P, C)
-    if np.any(scale < 1e-300):
+    if np.any(scale == 0.0):
         raise NumericsError(f"the section vanishes on the dbar stencil at {points[int(np.argmin(scale.min(axis=1)))]}")
     return np.max(worst / scale, axis=1, initial=0.0)
 

@@ -435,9 +435,9 @@ def _signed_area(comp: LiftComponent, t_from, t_to):
     Closed form about each pair's midpoint m and half-width d: the linear
     part integrates to 2d((p/q) m + c + shift), and each harmonic
     a cos(omega t) + b sin(omega t) to (2 sin(omega d) / omega) times its
-    value at m.  This is a separate formula from the difference of
-    primitives that localsys.twist_exponent takes, so the Floer route's
-    areas and the boundary route's twists stay independent; it also has no
+    value at m.  This is a separate formula from the vertex form that
+    localsys.twist_exponent takes, so the Floer route's areas and the
+    boundary route's twists stay independent; like that form it has no
     cancellation far from t = 0, where a difference of primitives carries
     rounding of about eps |G(t)|."""
     g = comp.parent

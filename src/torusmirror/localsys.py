@@ -3,8 +3,8 @@
 A local system of rank n is stored as its monodromy matrix T: transport
 once around the curve in the positive base direction, trivialized away
 from a seam placed at t = 0 (mod q).  Crossing the seam positively applies
-T; the twist multiplies transports by exp(-2*pi * integral of Y~ dt),
-evaluated through the exact harmonic antiderivative.
+T; the twist multiplies transports by exp(-2*pi * integral of Y~ dt).  Both
+are in log form, twist_exponent and _power_table, so neither leaves the doubles.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ class LocalSystem:
     def rank(self) -> int:
         return self.monodromy.shape[0]
 
-    def unit_form(self) -> tuple[np.ndarray, float]:
-        """T' = T |det T|^(-1/n), of unit |det|, and log|det T| / n."""
-        log_scale = np.linalg.slogdet(self.monodromy)[1] / self.rank
-        return self.monodromy * math.exp(-log_scale), float(log_scale)
-
     def log_stretch(self) -> float:
         """L = max(log|T|_2, log|T^-1|_2), the largest |log sigma| over T's
         singular values: the most log|T^k v| can move per seam crossing."""
@@ -77,15 +72,24 @@ def transport_flat(system: LocalSystem, comp: LiftComponent, t0: float, t1: floa
     return np.linalg.matrix_power(system.monodromy, k)
 
 
-def twist_exponent(comp: LiftComponent, t0: float, t1):
-    """log of the scalar twist factor: -2*pi * integral of Y~ from t0 to t1;
-    t1 may be an array."""
-    return -TWO_PI * (comp.height_primitive(t1) - comp.height_primitive(t0))
+def twist_exponent(graph: LagrangianGraph, shift, t0, t1, m=0):
+    """-2*pi * integral of Y + shift from t0 to s = t1 + q m, on broadcasting
+    scalars or arrays, with no cancellation at any offset: the linear part is
+    (p / 2q)((s - v)^2 - (t0 - v)^2) about the vertex v = -(c + shift) q / p
+    on a line and (c + shift)(s - t0) on a circle, where a difference of
+    primitives rounds at p c^2 q.  W~(s) = W~(t1), so W~ is read at t1, t0."""
+    if graph.p:
+        vertex = -(graph.c + shift) * graph.q / graph.p
+        d, d0 = (t1 - vertex) + graph.q * m, t0 - vertex
+        linear = graph.p / (2 * graph.q) * (d * d - d0 * d0)
+    else:
+        linear = (graph.c + shift) * ((t1 - t0) + graph.q * m)
+    return -TWO_PI * (linear + (graph.wiggle_primitive(t1) - graph.wiggle_primitive(t0)))
 
 
 def transport_twisted(system: LocalSystem, comp: LiftComponent, t0: float, t1: float) -> np.ndarray:
     """Transport in the twisted system: flat transport times the area weight."""
-    return transport_flat(system, comp, t0, t1) * math.exp(twist_exponent(comp, t0, t1))
+    return transport_flat(system, comp, t0, t1) * math.exp(twist_exponent(comp.parent, comp.shift, t0, t1))
 
 
 def log_norm(vectors: np.ndarray) -> np.ndarray:
@@ -98,20 +102,32 @@ def log_norm(vectors: np.ndarray) -> np.ndarray:
         return np.log(top) + 0.5 * np.log(np.sum(ratios * ratios, axis=-1))
 
 
-def _power_table(monodromy: np.ndarray, v: np.ndarray, k_lo: int, k_hi: int) -> np.ndarray:
-    """Rows T^k v for k_lo <= k <= k_hi (a range that holds 0), built outward
-    from v by repeated multiplication, with T^-1 below zero; v is an n-vector
-    or an n x C matrix of C vectors, recursed on together.  Each row is the
-    same whatever range is asked for."""
+def _power_table(system: LocalSystem, v: np.ndarray, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """T^k v = rows[k - k_lo] exp(logs[k - k_lo]), k_lo <= k <= k_hi (a range
+    that holds 0), built outward from v by T and T^-1; v is an n-vector or an
+    n x C matrix of vectors, each with its own log.  A step moves a largest
+    entry by e^(+-L) at most, L = log max(|T|_inf, |T^-1|_inf), so every
+    floor(230 / L)-th row divides each vector by the power of two of that
+    entry: no row leaves the double range, and none depends on the range."""
     rows = np.empty((k_hi - k_lo + 1,) + np.shape(v), dtype=complex)
+    logs = np.zeros(rows.shape[:1] + rows.shape[2:])
     rows[-k_lo] = v
-    for k in range(1 - k_lo, k_hi - k_lo + 1):
-        np.dot(monodromy, rows[k - 1], out=rows[k])
-    if k_lo < 0:
-        inverse = np.linalg.inv(monodromy)
-        for k in range(-k_lo - 1, -1, -1):
-            np.dot(inverse, rows[k + 1], out=rows[k])
-    return rows
+    inverse = np.linalg.inv(system.monodromy)
+    stretch = math.log(max(np.abs(matrix).sum(axis=1).max() for matrix in (system.monodromy, inverse)))
+    every = max(1, int(230.0 / stretch)) if stretch > 0.0 else len(rows)
+    steps = [(k, k - 1, system.monodromy) for k in range(1, k_hi + 1)]
+    steps += [(k, k + 1, inverse) for k in range(-1, k_lo - 1, -1)]
+    for k, prev, matrix in steps:
+        row = rows[k - k_lo]
+        np.dot(matrix, rows[prev - k_lo], out=row)
+        if k % every == 0:
+            exponent = np.frexp(np.abs(row).max(axis=0))[1]
+            row *= np.ldexp(1.0, -exponent)
+            logs[k - k_lo] = exponent * math.log(2.0)
+    if logs.any():  # each row's log sums those taken out between it and k = 0
+        logs[-k_lo:] = np.cumsum(logs[-k_lo:], axis=0)
+        logs[: 1 - k_lo] = np.cumsum(logs[-k_lo::-1], axis=0)[::-1]
+    return rows, logs
 
 
 @dataclass(frozen=True)
@@ -134,32 +150,19 @@ class HorizontalSection:
         return self.system.rank
 
     def flat_and_twist(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """s(t) = flat * exp(twist): the flat transport T'^k v, shape t.shape + (n,),
-        and the log of the area weight plus k log|det T| / n, shape t.shape,
-        for the unit-determinant T' = T |det T|^(-1/n).
-
-        T'^k v is built once for the seam counts k that the array needs; the
-        twist is the exact primitive on the whole array.  Where T's
-        eigenvalue moduli are equal, T' has them all 1, so T'^k v stays in
-        the double range and the twist carries the growth, which the kernel
-        weight then meets in one exponent.
-        """
+        """s(t) = flat * exp(twist) in log form: the power table's row for
+        T^k v, k the seam count from the anchor, shape t.shape + (n,), and
+        the twist plus that row's log, shape t.shape; one table per call."""
         t = np.asarray(t, dtype=float)
-        k = _seam_crossings(self.component.parent.q, self.anchor_t, t)
+        comp = self.component
+        k = _seam_crossings(comp.parent.q, self.anchor_t, t)
         k_lo, k_hi = int(k.min(initial=0)), int(k.max(initial=0))
-        unit, log_scale = self.system.unit_form()
-        flat = _power_table(unit, self.vector, k_lo, k_hi)[k - k_lo]
-        return flat, np.asarray(twist_exponent(self.component, self.anchor_t, t) + k * log_scale)
+        rows, logs = _power_table(self.system, self.vector, k_lo, k_hi)
+        return rows[k - k_lo], np.asarray(twist_exponent(comp.parent, comp.shift, self.anchor_t, t) + logs[k - k_lo])
 
     def __call__(self, t) -> np.ndarray:
         flat, twist = self.flat_and_twist(t)
         return flat * np.exp(twist)[..., None]
-
-    def log_magnitude(self, t):
-        """log |s(t)| computed without under/overflow for far t."""
-        flat, twist = self.flat_and_twist(t)
-        out = log_norm(flat) + twist
-        return out if out.shape else float(out)
 
 
 def circle_monodromy(system: LocalSystem, comp: LiftComponent) -> np.ndarray:
@@ -183,8 +186,8 @@ def quasi_unitarize(system: LocalSystem, graph: LagrangianGraph) -> tuple[LocalS
     absolute value, T' is quasi-unitary; otherwise the flag on the result
     stays honest and reports mixed moduli.
     """
-    unit, log_scale = system.unit_form()
-    return LocalSystem(unit), log_scale / (TWO_PI * graph.q)
+    log_scale = float(np.linalg.slogdet(system.monodromy)[1]) / system.rank
+    return LocalSystem(system.monodromy * math.exp(-log_scale)), log_scale / (TWO_PI * graph.q)
 
 
 def unitarization_twist(mu_coeff: float) -> tuple[LagrangianGraph, LocalSystem]:

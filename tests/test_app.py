@@ -226,8 +226,8 @@ class TestRunVerify:
         real = fourier._lattice_sums
 
         def zeroed(*args):
-            sums, tails = real(*args)
-            return 0.0 * sums, tails
+            sums, tails, scales = real(*args)
+            return 0.0 * sums, tails, scales
 
         monkeypatch.setattr(fourier, "_lattice_sums", zeroed)
         objects = [
@@ -329,17 +329,15 @@ class TestRunVerify:
     def test_dbar_check_reads_an_injected_fault_at_every_slope(self, monkeypatch):
         # a factor e^(eps t) in every horizontal section adds i eps / 2 times
         # the section to its dbar; the lattice sums take each lift's twist
-        # from fourier._vertex_twist, a factor e^(eps (s - anchor)) there
-        import torusmirror.fourier as fourier
+        # from localsys.twist_exponent, a factor e^(eps (s - anchor)) there
+        import torusmirror.localsys as localsys
 
-        eps, real = 1e-5, fourier._vertex_twist
+        eps, real = 1e-5, localsys.twist_exponent
 
-        def faulty(lines, t_branch, m):
-            s = t_branch[..., None] + lines[0].component.parent.q * m
-            anchor = np.array([coeff.anchor_t for coeff in lines])[:, None, None, None]
-            return real(lines, t_branch, m) + eps * (s - anchor)
+        def faulty(graph, shift, t0, t1, m=0):
+            return real(graph, shift, t0, t1, m) + eps * (t1 + graph.q * m - t0)
 
-        monkeypatch.setattr(fourier, "_vertex_twist", faulty)
+        monkeypatch.setattr(localsys, "twist_exponent", faulty)
         mixed = load_scene(DATA / "verify_mixed_7.json")
         lines = scene_from_dict(scene_dict(*(object_dict(id=f"p{p}", p=p, c=0.3) for p in (30, 100))))
         objects = [tt for tt in mixed.objects if tt.graph.p > 0] + list(lines.objects)
@@ -361,7 +359,9 @@ class TestRunVerify:
             assert any({pt.sign for pt in points} == {-1, 1} for points in tt.geometry.crossings), tt.id
         assert all(entry["checks"]["d_routes_agree"] for entry in run_verify(scene).objects)
         eps, real = 1e-5, localsys.twist_exponent
-        monkeypatch.setattr(localsys, "twist_exponent", lambda comp, t0, t1: real(comp, t0, t1) + eps * (t1 - t0))
+        monkeypatch.setattr(
+            localsys, "twist_exponent", lambda graph, shift, t0, t1, m=0: real(graph, shift, t0, t1, m) + eps * (t1 - t0)
+        )
         for entry in run_verify(scene).objects:
             assert entry["checks"]["d_routes_agree"] is False and entry["pass"] is False, entry["id"]
             assert entry["d_route_max_diff"] > 100 * D_ROUTE_TOL, entry["id"]
@@ -445,6 +445,35 @@ class TestRunVerify:
             for want, tt in zip(base, objects(c)):
                 got = theta_eval_batch(standard_section(tt), ts, xs)[0]
                 assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), (c, tt.id)
+
+    @pytest.mark.filterwarnings("ignore:object .* not quasi-unitary:UserWarning")
+    @pytest.mark.parametrize(
+        "p,moduli,dims",
+        [(1, [15.0], [1, 0]), (1000, [0.0], [1000, 0]), (1, [8.0, -8.0], [2, 0])],
+        ids=["steep-t", "p1000", "mixed-moduli"],
+    )
+    def test_lines_at_the_edge_of_the_double_range_pass_every_route(self, p, moduli, dims):
+        # T = e^(2 pi 15) puts the standard section's largest term near e^758;
+        # p = 1000 puts every term of a branch below e^-760; mixed moduli
+        # overflow T^k e0 in the far lifts: each term is a log weight beside a
+        # bounded part, so none of them leaves the double range on its way
+        mono = [[[math.exp(2 * math.pi * a) if i == j else 0.0, 0.0] for j in range(len(moduli))] for i, a in enumerate(moduli)]
+        entry = run_verify(scene_from_dict(scene_dict(object_dict(id="edge", p=p, c=0.3, monodromy=mono)))).objects[0]
+        assert entry["errors"] == [] and entry["pass"], (entry["checks"], entry["errors"])
+        assert set(entry["checks"]) == {"d_routes_agree", "euler_matches_degree", "analytic_agrees", "discretized_agrees", "dbar_ok"}
+        assert entry["floer_dims"] == entry["analytic_dims"] == entry["discretized_dims"] == dims
+
+    def test_large_offsets_keep_the_two_differentials_equal(self):
+        # a difference of primitives rounds at ulp(p c^2 q): the boundary
+        # route read 3.2e-6 and 3.6e-4 on these lines and 3.4e-9 on the
+        # circle; the vertex form (lines) and (c + r)(s - t0) (circles) stay
+        # at the size of each arc's own weight
+        wiggle = [(2, 0.3, 0.1)]
+        objects = [object_dict(id=f"line{c:g}", c=c, wiggle=wiggle) for c in (1e5 + 0.3, 1e6 + 0.3)]
+        objects.append(object_dict(id="circle", p=0, c=4e6 + 0.3, wiggle=wiggle))
+        for entry in run_verify(scene_from_dict(scene_dict(*objects))).objects:
+            assert entry["checks"]["d_routes_agree"], (entry["id"], entry["d_route_max_diff"])
+            assert entry["d_route_max_diff"] <= D_ROUTE_TOL / 10, entry["id"]
 
     def test_broken_complex_fails_analytic_agreement(self, monkeypatch):
         import torusmirror

@@ -30,7 +30,7 @@ from torusmirror.fourier import (
     unit_object,
 )
 from torusmirror.geometry import LiftComponent, lift_components
-from torusmirror.localsys import LocalSystem, TwistedTransport, trivial_system
+from torusmirror.localsys import LocalSystem, TwistedTransport, log_norm, trivial_system
 
 from conftest import make_graph, random_unitary
 
@@ -403,10 +403,8 @@ def test_peak_reach_bounds_the_largest_lift(tt, t):
         s_star = -(g.c + coeff.component.shift) * g.q / g.p
         for branch in t + np.arange(g.q):
             nominal = np.rint((s_star - branch) / g.q)
-            # T^k v overflows far out on the growing side, where the weight
-            # has long won; those lifts read NaN and are skipped
-            with np.errstate(over="ignore", invalid="ignore"):
-                log_mag = coeff.log_magnitude(branch + g.q * (nominal + shifts))
+            flat, twist = coeff.flat_and_twist(branch + g.q * (nominal + shifts))
+            log_mag = log_norm(flat) + twist
             assert abs(shifts[np.nanargmax(log_mag)]) <= coeff.peak_reach
 
 
@@ -433,7 +431,8 @@ def test_truncation_bound_sums_the_coefficients_tails():
     ts, xs = np.array([0.15, 0.35, 0.8]), np.array([0.2, 0.6, -0.3])
     _, bound = theta_eval_batch(sec, ts, xs)
     t_branch, where = ts[:, None] + np.arange(g.q), np.arange(ts.size)
-    tails = fourier._lattice_sums(sec.coefficients, t_branch, where, xs, sec.K)[1]  # (P, C, q)
+    _, tails, scales = fourier._lattice_sums(sec.coefficients, t_branch, where, xs, sec.K)
+    tails = tails * np.exp(scales)  # (P, C, q)
     assert tails.shape[1] == 3 and np.all(np.min(tails, axis=1) > 0.0)
     np.testing.assert_allclose(bound, np.sum(tails, axis=1).max(axis=-1), rtol=1e-15)
     # each coefficient twice: twice the error, twice the bound
@@ -502,32 +501,95 @@ def test_theta_refuses_a_tail_bound_that_overflows():
         value = theta_eval(standard_section(tt, 25), MirrorPoint(0.0, 0.0))
     exact = exact_line_sum(tt, -0.5, 0.0, 0.0)
     assert abs(value.values[0, 0] - exact) <= value.trunc_bound + 1e-12 * abs(exact)
-    # mixed moduli leave T' = T: T^k e0 = e^(16 pi k) e0 overflows in the far
-    # lifts of the 69-lift window and in its tail lifts, so the sum is refused
+    # mixed moduli: T^k e0 = e^(16 pi k) e0 overflowed in the far lifts of the
+    # 69-lift window and in its tail lifts; the power table's rows carry their
+    # own log scale, so the sum is the rank-1 line's, T = e^(2 pi 8), exactly
     mixed = TwistedTransport(
         make_graph(p=1, q=1, c=0.3, id="tail"), LocalSystem(np.diag([math.exp(2 * math.pi * 8), math.exp(-2 * math.pi * 8)]))
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericsError, match="tail/r0: .* tail bound is not finite"):
-            theta_eval(standard_section(mixed, 25), MirrorPoint(0.15, 0.2))
+        value = theta_eval(standard_section(mixed, 25), MirrorPoint(0.15, 0.2))
+    exact = exact_line_sum(mixed, -0.3, 0.15, 0.2)
+    assert abs(value.values[0, 0] - exact) <= value.trunc_bound + 1e-12 * abs(exact)
+    assert value.values[0, 1] == 0.0
+
+
+def ones_section(c, mono):
+    """On the straight p = q = 1 line with offset c and monodromy mono, the
+    horizontal coefficient through the first positive crossing with every
+    entry 1."""
+    tt = TwistedTransport(make_graph(p=1, q=1, c=c), LocalSystem(mono))
+    anchor = standard_section(tt).coefficients[0].anchor_t
+    return ThetaSection(tt, (HorizontalCoefficient(tt.system, tt.geometry.components[0], anchor, np.ones(tt.rank)),))
+
+
+@st.composite
+def stretched_lines(draw):
+    """ones_section with a diagonal T of moduli e^(2 pi a), |a| <= 12, steep
+    or mixed across its entries."""
+    c = draw(st.floats(-1.0, 1.0))
+    steep = draw(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=2))
+    phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=len(steep), max_size=len(steep)))
+    return ones_section(c, np.diag([cmath.exp(2 * math.pi * a + 1j * phase) for a, phase in zip(steep, phases)]))
+
+
+def exact_diagonal_sum(coeff, t, xdual):
+    """The lattice sum at (t, xdual) of a horizontal coefficient on a straight
+    p = q = 1 line with a diagonal T, exactly: entry i sums over the lifts
+    s = t + m the terms v_i T_ii^k exp(-pi ((s + c)^2 - (a + c)^2) + 2 pi i
+    xdual (s + c)), k = floor(s) - floor(a), in 40 digits.  Returns the
+    sums and the sum of the terms' norms."""
+    with mpmath.workdps(40):
+        c, a = mpmath.mpf(coeff.component.parent.c), mpmath.mpf(coeff.anchor_t)
+        diagonal = [mpmath.mpc(z) for z in np.diag(coeff.system.monodromy)]
+        sums, magnitude = [mpmath.mpc(0)] * len(diagonal), mpmath.mpf(0)
+        for m in range(-100, 101):
+            s = mpmath.mpf(t) + m
+            k = int(mpmath.floor(s) - mpmath.floor(a))
+            weight = mpmath.exp(-mpmath.pi * ((s + c) ** 2 - (a + c) ** 2) + 2j * mpmath.pi * mpmath.mpf(xdual) * (s + c))
+            terms = [complex(v) * lam**k * weight for v, lam in zip(coeff.vector, diagonal)]
+            sums = [total + term for total, term in zip(sums, terms)]
+            magnitude += mpmath.sqrt(sum(abs(term) ** 2 for term in terms))
+        return np.array([complex(total) for total in sums]), float(magnitude)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sec=stretched_lines(),
+    points=st.lists(st.tuples(st.floats(0.0, 0.999), st.floats(-1.0, 1.0)), min_size=1, max_size=3),
+)
+@example(sec=ones_section(0.3, np.diag([math.exp(2 * math.pi * 12), math.exp(-2 * math.pi * 12)])), points=[(0.15, 0.2)])
+def test_theta_values_with_steep_or_mixed_moduli_match_the_exact_sum(sec, points):
+    # T^k v overflowed or underflowed for mixed moduli, which no unit-|det|
+    # rescaling of T removes; the power table's rows carry their own log scale
+    ts, xs = np.array(points).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values, bounds = theta_eval_batch(sec, ts, xs)
+    for i, (t, x) in enumerate(points):
+        want, magnitude = exact_diagonal_sum(sec.coefficients[0], t, x)
+        assert np.max(np.abs(values[i, 0] - want)) <= bounds[i] + 1e-12 * magnitude
 
 
 def full_window_terms(lines, t_branch, where, xdual, K):
     """Every term of the lattice sums' window, computed as before the
-    per-point work stopped at the last live lift: the terms
-    (P, C, q, 2(K + R) + 1, n), in the window's ascending-|shift| order, and
-    the truncation bounds (P, C, q)."""
+    per-point work stopped at the last live lift, each relative to its
+    row's largest term: the terms (P, C, q, 2(K + R) + 1, n), in the
+    window's ascending-|shift| order, the truncation bounds (P, C, q) and
+    the rows' log scales (P, C, q)."""
     g = lines[0].component.parent
     shift = np.array([coeff.component.shift for coeff in lines])[:, None, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        m, flat, log_mag, twist = fourier._line_window(lines, t_branch, K)
+        m, flat, log_mag, log = fourier._line_window(lines, t_branch, K)
+        scale = np.max(log_mag[..., :-2], axis=-1)
+        top = np.where(scale > -np.inf, scale, 0.0)[..., None]
         heights = g.height(t_branch)[where][..., None] + shift + g.p * m[:, where, :, :-2]
         kern = 2j * math.pi * xdual[:, None, None] * heights
-        terms = flat[:, where, :, :-2, :] * np.exp(twist[:, where, :, :-2] + kern)[..., None]
-        tails = np.exp(log_mag[..., -2:])
+        terms = flat[:, where, :, :-2, :] * np.exp(log[:, where, :, :-2] - top[:, where] + kern)[..., None]
+        tails = np.exp(log_mag[..., -2:] - top)
     bounds = [coeff.tail_bound(tails[c, ..., 0], tails[c, ..., 1])[where] for c, coeff in enumerate(lines)]
-    return terms.swapaxes(0, 1), np.stack(bounds, axis=1)
+    return terms.swapaxes(0, 1), np.stack(bounds, axis=1), scale[:, where].swapaxes(0, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -550,21 +612,21 @@ def test_line_sums_match_the_full_window(tt, K, points):
         return exp(x, *args, **kwargs)
 
     lines = standard_section(tt, K).coefficients
-    terms, bounds = full_window_terms(lines, t_branch, where, xs, K)
+    terms, bounds, scales = full_window_terms(lines, t_branch, where, xs, K)
     if not (np.all(np.isfinite(terms.sum(axis=-2))) and np.all(np.isfinite(bounds))):
         with pytest.raises(NumericsError, match="not finite"):
             fourier._lattice_sums(lines, t_branch, where, xs, K)
         return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "exp", spied)
-        values, got_bounds = fourier._lattice_sums(lines, t_branch, where, xs, K)
+        values, got_bounds, got_scales = fourier._lattice_sums(lines, t_branch, where, xs, K)
     # the kernel ran on the leading lifts only; every lift left out was exactly 0
     assert len(lifts) == 1 and not np.any(terms[..., lifts[0]:, :])
-    assert np.array_equal(got_bounds, bounds)
+    assert np.array_equal(got_bounds, bounds) and np.array_equal(got_scales, scales)
     assert np.all(np.abs(values - terms.sum(axis=-2)) <= 1e-14 * np.abs(terms).sum(axis=-2))
     # a point alone has the same bits as in the batch, whatever cut the batch took
     for i in range(len(points)):
-        alone, _ = fourier._lattice_sums(lines, t_branch[where[i] : where[i] + 1], np.zeros(1, int), xs[i : i + 1], K)
+        alone, _, _ = fourier._lattice_sums(lines, t_branch[where[i] : where[i] + 1], np.zeros(1, int), xs[i : i + 1], K)
         assert np.array_equal(alone[0], values[i])
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,14 @@ from torusmirror.localsys import (
     HorizontalSection,
     LocalSystem,
     TwistedTransport,
+    _power_table,
     circle_monodromy,
+    log_norm,
     quasi_unitarize,
     transport_flat,
     transport_twisted,
     trivial_system,
+    twist_exponent,
     unitarization_twist,
 )
 
@@ -25,6 +29,12 @@ from conftest import make_graph, random_unitary
 
 def _comp(graph, shift=0, window=None):
     return [c for c in lift_components(graph, window) if c.shift == shift][0]
+
+
+def log_magnitude(section, t):
+    """log |s(t)| from the section's log form, without under/overflow for far t."""
+    flat, twist = section.flat_and_twist(t)
+    return float(log_norm(flat) + twist)
 
 
 def test_local_system_validation():
@@ -98,11 +108,84 @@ def test_section_is_gaussian_on_a_rising_line_and_grows_on_a_falling_one():
     for t in (-1.5, 0.0, 0.3, 2.0):
         assert s(t)[0] == pytest.approx(math.exp(-math.pi * t * t), rel=1e-12)
     assert s(0.0)[0] == pytest.approx(1.0)
-    assert s.log_magnitude(3.0) == pytest.approx(-math.pi * 9.0, rel=1e-12)
+    assert log_magnitude(s, 3.0) == pytest.approx(-math.pi * 9.0, rel=1e-12)
 
     down = _comp(make_graph(p=-1, q=1, id="D"))
     sd = HorizontalSection(trivial_system(1), down, 0.0, [1.0])
-    assert sd.log_magnitude(4.0) == pytest.approx(math.pi * 16.0, rel=1e-12)  # grows
+    assert log_magnitude(sd, 4.0) == pytest.approx(math.pi * 16.0, rel=1e-12)  # grows
+
+
+def exact_twist(graph, shift, t0, s):
+    """-2 pi times the integral of Y + shift from t0 to s, in 60 digits from
+    the exact primitive at the doubles given."""
+    with mpmath.workdps(60):
+        def primitive(t):
+            t = mpmath.mpf(t)
+            out = mpmath.mpf(graph.p) / graph.q * t * t / 2 + (mpmath.mpf(graph.c) + shift) * t
+            for h in graph.wiggle:
+                w = 2 * mpmath.pi * h.m / graph.q
+                out += (mpmath.mpf(h.a) * mpmath.sin(w * t) + mpmath.mpf(h.b) * (1 - mpmath.cos(w * t))) / w
+            return out
+
+        return float(-2 * mpmath.pi * (primitive(s) - primitive(t0)))
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (-1, 1), (0, 1), (0, 2)])
+@pytest.mark.parametrize("c", [0.3, 1e5 + 0.3, 1e6 + 0.3])
+def test_twist_exponent_keeps_its_digits_at_large_offsets(p, q, c, rng):
+    # a difference of primitives at s and t0 rounds at p c^2 q (about 1e-4 at
+    # c = 1e6); the vertex form on lines rounds only through t - v at ulp(c),
+    # and (c + r)(s - t0) on circles not at all
+    graph = make_graph(p=p, q=q, c=c, wiggle=[(2, 0.3, 0.1)])
+    shift = -round(c) if p == 0 else 0
+    vertex = -(c + shift) * q / p if p else 0.0
+    tol = 1e-13 * (1.0 + abs(c)) * q if p else 1e-13
+    for _ in range(10):
+        t0, t1 = vertex + rng.uniform(-2.0, 2.0), rng.uniform(0.0, q)
+        m = round((vertex - t1) / q) + int(rng.integers(-3, 4))
+        got = twist_exponent(graph, shift, t0, t1, m)
+        assert abs(got - exact_twist(graph, shift, t0, t1 + q * m)) <= tol
+    # the default m = 0 integrates to t1 itself
+    assert twist_exponent(graph, shift, t0, t1) == twist_exponent(graph, shift, t0, t1, 0)
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [
+        np.diag([math.exp(2 * math.pi * 8), math.exp(-2 * math.pi * 8)]),
+        [[math.exp(2 * math.pi * 15)]],
+        [[0.6, 0.8j], [0.8j, 0.6]],
+    ],
+    ids=["mixed", "steep", "unitary"],
+)
+def test_power_table_rows_carry_their_log_scale(mono, rng):
+    system = LocalSystem(mono)
+    n = system.rank
+    vectors = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    rows, logs = _power_table(system, vectors, -40, 40)
+    assert rows.shape == (81, n, 3) and logs.shape == (81, 3)
+    # no entry leaves the double range, however far T^k v does
+    top = np.abs(rows).max(axis=1)
+    assert np.all(np.isfinite(rows)) and np.all((top > 1e-200) & (top < 1e200))
+    # rows times exp(logs) are T^k v, taken exactly (T^-1 by the adjugate)
+    with mpmath.workdps(50):
+        t = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in system.monodromy])
+        inverse = mpmath.matrix([[1 / t[0, 0]]]) if n == 1 else mpmath.matrix([[t[1, 1], -t[0, 1]], [-t[1, 0], t[0, 0]]])
+        if n == 2:
+            inverse /= t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
+        for k in (-40, -17, -1, 0, 1, 23, 40):
+            power = t ** k if k >= 0 else inverse ** -k
+            want = power * mpmath.matrix([[mpmath.mpc(z) for z in row] for row in vectors])
+            for c in range(3):
+                norm = mpmath.norm(want[:, c])
+                got = [mpmath.mpc(z) for z in rows[k + 40, :, c]]
+                err = mpmath.norm(mpmath.matrix(got) * mpmath.exp(logs[k + 40, c]) - want[:, c])
+                assert err <= 1e-12 * norm, (k, c)
+    # a unitary T is never rescaled, and no row depends on the range asked for
+    if system.is_quasi_unitary():
+        assert not logs.any()
+    sub_rows, sub_logs = _power_table(system, vectors, -5, 12)
+    assert np.array_equal(sub_rows, rows[35:53]) and np.array_equal(sub_logs, logs[35:53])
 
 
 def test_circle_monodromy_closed_form_vs_quadrature():

@@ -33,6 +33,8 @@ def verdicts(name: str) -> dict:
     return {"objects": objects, "pass": report["pass"]}
 
 
+# edge's steep and mixed-moduli lines are not quasi-unitary, which Floer warns of
+@pytest.mark.filterwarnings("ignore:object line_(steep_t15|mixed_t8). local system is not quasi-unitary:UserWarning")
 @pytest.mark.parametrize("name", SCENES)
 def test_verdicts_match_the_committed_ones(name):
     want = json.loads((DATA / "verdicts.json").read_text())[name]
