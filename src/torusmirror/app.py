@@ -216,7 +216,7 @@ def dbar_check(section: ThetaSection, tol: float) -> tuple[float, float]:
     """
     g = section.parent.graph
     slope = abs(g.p) / g.q + sum(2 * math.pi * abs(w.m) / g.q * (abs(w.a) + abs(w.b)) for w in g.wiggle)
-    drift = section.parent.system.log_stretch() / g.q if g.p > 0 else 0.0
+    drift = section.parent.system.log_stretch / g.q if g.p > 0 else 0.0
     rate = 2 * math.pi * (max(x for _, x in DBAR_SAMPLE_POINTS) * slope + math.sqrt(slope)) + drift
     h = DBAR_STEP
     while rate**5 * h**4 / 30 > tol / 10:

@@ -14,8 +14,10 @@ Sturm count of the full-rank side's real tridiagonal Gram (for p < 0, read
 backwards) certifies the singular-value margin of that side, which fixes
 kernel and cokernel.  The count is one LAPACK dstebz call per line,
 scipy's one runtime use; a refused line takes one more for its margin.  Y
-is evaluated once per object, on one period's lattice points: lines tile
-it by Y(t + q) = Y(t) + p, and every circle shift shares it.  T enters
+is evaluated once per object, on one period's lattice points, and every
+circle shift shares it.  The lines tile it by Y(t + q) = Y(t) + p once per
+object, over the union of their windows (one divmod and one gather), and
+each line takes its slice plus its integer lift.  T enters
 circles only: they reduce to the discrete loop propagator P = T lambda_h,
 whose fixed space counts the singular values of P - I within its own
 defect bound, or is 0 by moduli alone.
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import NumericsError, UnsupportedError, ValidationError, WindowError
 from .floer import RANK_TOL
 from .geometry import CIRCLE, LiftComponent
-from .localsys import TwistedTransport, circle_monodromy, twist_exponent
+from .localsys import TwistedTransport, circle_monodromy
 
 TWO_PI = 2.0 * math.pi
 
@@ -285,40 +287,60 @@ def analytic_dims(tt: TwistedTransport, rank_tol: float = RANK_TOL) -> tuple[int
 # -- discretized route --------------------------------------------------
 
 
-def _line_tridiagonal(ys: np.ndarray, comp: LiftComponent, lo: float, hi: float, hp: float) -> tuple[np.ndarray, np.ndarray]:
-    """The full-rank side's Gram of the scalar midpoint operator D0 = d/dt +
-    2*pi*Y~ on [lo, hi]: its diagonal and subdiagonal.
+def _tiled_heights(ys: np.ndarray, lines, windows, hp: float) -> list[np.ndarray]:
+    """Y~ at the lattice points of each line's rows: for the window [lo, hi]
+    they are hp times floor(lo / hp) + 1, ..., and one fewer than its nodes.
 
     ys holds Y at the lattice points hp, 2 hp, ..., q of one period, and
-    Y(t + q) = Y(t) + p tiles it over the window's lattice points; the line
-    adds its shift.  Row i of D0 is left_i on node i and right_i on node
-    i+1.  On n-vectors the row's node-i entry is left_i T where its
-    lattice-point center lies on q*Z (a seam), and the gauge x_j = P_j y_j,
-    P_j = T^(seams before node j), turns that operator into
-    blockdiag(P_{i+1}) (D0 kron I_n) (the p < 0 decay rows take the first
-    and last node's P): its rank is n rank D0 for any invertible T, so a
-    line is certified on D0 alone.  For p > 0, D0 has one row fewer than
-    columns and G = D0 D0^T.  For p < 0, D0 has decay rows 1/hp at both
-    ends, and D0^T D0 = B B^T for B = J D0^T J, J reversing the nodes, which
-    has the p > 0 shape with (left, 1/hp) and (1/hp, right) read backwards:
-    so the p > 0 assembly builds J G J, which has G's spectrum and row
-    sums."""
-    g = comp.parent
-    # ys[k] is Y((k + 1) hp), and the rows' lattice points start at floor(lo / hp) + 1
-    periods, k = np.divmod(math.floor(lo / hp) + np.arange(round((hi - lo) / hp) - 1), len(ys))
-    heights = ys[k] + (g.p * periods + comp.shift)
+    Y(t + q) = Y(t) + p tiles it: over the union of the windows, by one
+    divmod and one gather.  Each line takes its slice and adds its integer
+    lift p * periods + shift, so its heights are the same bits as when
+    tiled on its own."""
+    g = lines[0].parent
+    firsts = [math.floor(lo / hp) for lo, _ in windows]
+    counts = [round((hi - lo) / hp) - 1 for lo, hi in windows]
+    start = min(firsts)
+    # ys[k] is Y((k + 1) hp)
+    periods, k = np.divmod(start + np.arange(max(f + c for f, c in zip(firsts, counts)) - start), len(ys))
+    tiled, lifts = ys[k], g.p * periods
+    out = []
+    for comp, first, count in zip(lines, firsts, counts):
+        rows = slice(first - start, first - start + count)
+        out.append(tiled[rows] + (lifts[rows] + comp.shift))
+    return out
+
+
+def _line_tridiagonal(heights: np.ndarray, p: int, hp: float) -> tuple[np.ndarray, np.ndarray]:
+    """The full-rank side's Gram of the scalar midpoint operator D0 = d/dt +
+    2*pi*Y~ on a line of winding p, from Y~ at its rows' lattice points
+    (_tiled_heights): its diagonal and subdiagonal.
+
+    Row i of D0 is left_i on node i and right_i on node i+1.  On n-vectors
+    the row's node-i entry is left_i T where its lattice-point center lies
+    on q*Z (a seam), and the gauge x_j = P_j y_j, P_j = T^(seams before node
+    j), turns that operator into blockdiag(P_{i+1}) (D0 kron I_n) (the p < 0
+    decay rows take the first and last node's P): its rank is n rank D0 for
+    any invertible T, so a line is certified on D0 alone.  For p > 0, D0 has
+    one row fewer than columns and G = D0 D0^T.  For p < 0, D0 has decay
+    rows 1/hp at both ends, and D0^T D0 = B B^T for B = J D0^T J, J
+    reversing the nodes, which has the p > 0 shape with (left, 1/hp) and
+    (1/hp, right) read backwards: so the p > 0 assembly builds J G J, which
+    has G's spectrum and row sums."""
     left = -1.0 / hp + math.pi * heights
     right = 1.0 / hp + math.pi * heights
-    if g.p < 0:
+    if p < 0:
         left, right = np.append(left, 1.0 / hp)[::-1], np.append(1.0 / hp, right)[::-1]
     return left * left + right * right, right[:-1] * left[1:]
 
 
 def _row_sum_bound(diag: np.ndarray, sub: np.ndarray) -> float:
     """Gershgorin bound of G: its largest absolute row sum |d_i| +
-    |s_(i-1)| + |s_i| (NaN if an entry is NaN)."""
+    |s_(i-1)| + |s_i|, added in that order (NaN if an entry is NaN)."""
     mag = np.abs(sub)
-    return float((np.abs(diag) + np.append(0.0, mag) + np.append(mag, 0.0)).max())
+    rows = np.abs(diag)
+    rows[1:] += mag
+    rows[:-1] += mag
+    return float(rows.max())
 
 
 def _gram_count(diag: np.ndarray, sub: np.ndarray, lo: float, hi: float) -> tuple[int, float]:
@@ -336,9 +358,14 @@ def _gram_count(diag: np.ndarray, sub: np.ndarray, lo: float, hi: float) -> tupl
 
 def _validate_window(comp: LiftComponent, lo: float, hi: float) -> None:
     """The weight at both ends of [lo, hi] must lie 1e-12 below its value at
-    the vertex (lo + hi) / 2, a lower bound on its peak: a drop of -sign(p) twist."""
+    the vertex (lo + hi) / 2, a lower bound on its peak: a drop of -sign(p)
+    times the twist from the vertex (localsys.twist_exponent's vertex form),
+    with W~ taken in one call on (lo, hi, mid)."""
     g, mid = comp.parent, 0.5 * (lo + hi)
-    drop = -math.copysign(1.0, g.p) * twist_exponent(g, comp.shift, mid, np.array([lo, hi]))
+    wiggle = g.wiggle_primitive(np.array([lo, hi, mid]))
+    d, d0 = np.array([lo, hi]) - comp.vertex, mid - comp.vertex
+    twist = -TWO_PI * (g.p / (2 * g.q) * (d * d - d0 * d0) + (wiggle[:2] - wiggle[2]))
+    drop = -math.copysign(1.0, g.p) * twist
     needed = -math.log(1e-12)
     for end in drop.tolist():
         if end < needed:
@@ -350,11 +377,10 @@ def _validate_window(comp: LiftComponent, lo: float, hi: float) -> None:
 
 
 def _line_component_dims(
-    ys: np.ndarray, comp: LiftComponent, n: int, big_t: float, hp: float, rank_tol: float
+    heights: np.ndarray, comp: LiftComponent, window: tuple[float, float], n: int, hp: float, rank_tol: float
 ) -> tuple[int, int]:
-    lo, hi = comp.vertex - big_t, comp.vertex + big_t
-    _validate_window(comp, lo, hi)
-    diag, sub = _line_tridiagonal(ys, comp, lo, hi, hp)
+    _validate_window(comp, *window)
+    diag, sub = _line_tridiagonal(heights, comp.parent.p, hp)
     bound = _row_sum_bound(diag, sub)
     if not math.isfinite(bound):
         raise NumericsError(f"component {comp.label}: the full-rank side's Gram is not finite")
@@ -437,7 +463,8 @@ def discretized_dims(
     names the component and the exact margin sigma_min/cutoff.  Circles
     count the singular values of P - I for the discrete loop propagator
     P = T lambda_h within its defect bound, with one SVD of T for all
-    shifts.  Y is evaluated once, on one period's lattice points.
+    shifts.  Y is evaluated once, on one period's lattice points, and the
+    lines tile it once over the union of their windows.
     h must lie in (0, 1e-2], big_t be positive and rank_tol lie in (0, 1),
     all finite, else ValidationError.
     """
@@ -454,8 +481,10 @@ def discretized_dims(
     ys = g.height(np.arange(1, g.q * res + 1) * hp)  # Y on one period's lattice points, once
     h0 = h1 = 0
     if g.p != 0:
-        for comp in tt.geometry.components:
-            ker, coker = _line_component_dims(ys, comp, tt.rank, big_t, hp, rank_tol)
+        lines = tt.geometry.components
+        windows = [(comp.vertex - big_t, comp.vertex + big_t) for comp in lines]
+        for comp, window, heights in zip(lines, windows, _tiled_heights(ys, lines, windows, hp)):
+            ker, coker = _line_component_dims(heights, comp, window, tt.rank, hp, rank_tol)
             h0 += ker
             h1 += coker
     else:

@@ -9,20 +9,23 @@ the fiber value v.  The holomorphic coordinate is z = xdual + i*t.
 _coefficient_values is the one evaluation path.  For the U distinct t
 values of P mirror points it takes all C line coefficients of a section in
 one stacked pass over a (C, U, q, lifts) array (_lattice_sums).  The lifts
-form one fixed window: K + R shifts either side of the lift nearest the
-vertex of each coefficient's quadratic weight, where R is the section's
-peak_reach, a bound on how far the largest lift can lie from that one.
-Every term is in log form, a bounded part times the exp of a log weight:
+form one window, sized before it is built: J shifts either side of the
+lift nearest the vertex of each coefficient's quadratic weight, where
+J = lift_reach(K) is the largest shift whose log weight can still come
+within LOG_UNDERFLOW = -760 of its row's largest (below that a term rounds
+to exactly 0), in closed form from the quadratic weight and the stretch L
+of T, and never below the section's peak_reach R nor above K + R.  Every
+term is in log form, a bounded part times the exp of a log weight:
 horizontal coefficients read their parts off one table of T^k V, V the
 n x C matrix of their vectors, with a log scale per row, and add the twist
 (localsys.twist_exponent, on the rows and the anchors); a sampled
 coefficient's function gets the whole lift array.  Each row's terms are
-taken relative to its largest log weight, its log scale, and only the
-kernel weight and the sum are per point, over the leading lifts up to the
-last one within LOG_UNDERFLOW = -760 of its row's largest, below which a
-term rounds to exactly 0.  theta_eval_batch sums the coefficients, and
-values leave the log form there alone; theta_eval, tensor_compat_check and
-app.sample_section call it.
+taken relative to its largest log weight, its log scale, and their
+magnitudes are one real exp per row; only the kernel's phase and the sum
+are per point, the phase as exp(2 pi i xdual H0) w^j from the nominal
+peak's height H0 and powers of w = exp(2 pi i xdual p).  theta_eval_batch
+sums the coefficients, and values leave the log form there alone;
+theta_eval, tensor_compat_check and app.sample_section call it.
 
 dbar_residuals differences each coefficient's nine values on a
 fourth-order stencil of step h around each of its points, all points'
@@ -114,7 +117,23 @@ class HorizontalCoefficient(HorizontalSection):
         largest |log sigma| over T's singular values, per shift.  A lift beats
         its neighbour nearer the nominal peak only if |k| <= 1 + L / (2*pi*p*q)."""
         g = self.component.parent
-        return 1 + math.floor(self.system.log_stretch() / (TWO_PI * g.p * g.q))
+        return 1 + math.floor(self.system.log_stretch / (TWO_PI * g.p * g.q))
+
+    def lift_reach(self, K: int) -> int:
+        """J, the shifts either side of the nominal peak that the window holds.
+        By peak_reach's two bounds, the lift j shifts from the nominal peak
+        has a log weight at most L|j| - pi*p*q*|j|(|j| - 1) above the peak's.
+        Past the largest |j| where that bound reaches LOG_UNDERFLOW - 1 (one
+        unit kept for the rounding of the log weights), every term rounds to
+        exactly 0 beside its row's largest, the tail terms at J + 1 too, so
+        the window leaves out only zeros.  Never below peak_reach, and at
+        most K + peak_reach, where the tails bound the truncation."""
+        g = self.component.parent
+        a = math.pi * g.p * g.q
+        b = a + self.system.log_stretch
+        # the larger root of a j^2 - b j = LOG_UNDERFLOW - 1
+        root = (b + math.sqrt(b * b - 4.0 * a * (LOG_UNDERFLOW - 1.0))) / (2.0 * a)
+        return min(K + self.peak_reach, max(self.peak_reach, math.floor(root)))
 
     def tail_bound(self, lo_term, hi_term):
         g = self.component.parent
@@ -156,6 +175,10 @@ class SampledCoefficient:
         self.component = comp
         self.func = func
         self.rank = rank
+
+    def lift_reach(self, K: int) -> int:
+        """J = K + peak_reach: sampled data has no closed-form decay."""
+        return K + self.peak_reach
 
     def flat_and_twist(self, s) -> tuple[np.ndarray, np.ndarray]:
         """The values at the array s (one func call on all of it), with zero twist."""
@@ -227,15 +250,16 @@ def _line_window(lines, t_branch: np.ndarray, K: int):
     terms flat * exp(log): the flat parts (C, U, q, L, n), log|flat| + log
     and log (C, U, q, L).
 
-    The K + R shifts either side of each coefficient's nominal peak (the
-    lift nearest its vertex), R the section's peak_reach, in ascending
-    |shift| order with the positive side first, then one tail term each
-    side for the bound.  Horizontal coefficients read their flat parts and
-    log scales off one table of T^k V, V the n x C matrix of their vectors,
+    The J shifts either side of each coefficient's nominal peak (the lift
+    nearest its vertex), J the first coefficient's lift_reach(K), in
+    ascending |shift| order with the positive side first, then the tail
+    term at J + 1 each side for the bound: 2J + 3 lifts.  Horizontal
+    coefficients read their flat parts and log scales off one table of
+    T^k V, V the n x C matrix of their vectors, built on those lifts only,
     and add the twist; a sampled coefficient's function gets its lift array.
     """
     g = lines[0].component.parent
-    reach = K + lines[0].peak_reach
+    reach = lines[0].lift_reach(K)
     order = [0] + [sign * d for d in range(1, reach + 1) for sign in (1, -1)] + [-(reach + 1), reach + 1]
     vertex = np.array([coeff.component.vertex for coeff in lines])[:, None, None]
     m = np.rint((vertex - t_branch) / g.q)[..., None] + np.array(order)
@@ -261,12 +285,16 @@ def _lattice_sums(lines, t_branch: np.ndarray, where: np.ndarray, xdual: np.ndar
     bounds (P, C, q) relative to the log scales (P, C, q), each row's
     largest log weight (-inf on a row of zeros).
 
-    Only the kernel weight exp(2 pi i xdual (Y(t) + r + p m)) is per point,
-    with Y taken once on the rows, and it runs only up to the last shift
-    where some row has a term within LOG_UNDERFLOW of its largest: every
-    term past it rounds to exactly 0, and the sum is sequential, so a
-    point's value has the same bits whatever the cut.  A non-finite log
-    weight is always kept, and a sum or tail term that is not finite raises
+    The magnitude is per row: one real exp of each lift's log weight less
+    its row's largest.  Only the kernel's phase is per point: with H0 = Y(t)
+    + r + p m0 the nominal peak's height and w = exp(2 pi i xdual p), the
+    lift j shifts from it has phase exp(2 pi i xdual H0) w^j, the powers of
+    w a sequential product along the lifts and their conjugates on the
+    negative side: one complex exp per point, coefficient and branch, and
+    one per point for w, none per lift.  The sum is sequential and every
+    factor is taken from its row or its point alone, so a point's value has
+    the same bits in any batch.  A non-finite log weight or tail term inside
+    the window makes the sum or the bound non-finite, which raises
     NumericsError, naming the component.
     """
     g = lines[0].component.parent
@@ -275,24 +303,23 @@ def _lattice_sums(lines, t_branch: np.ndarray, where: np.ndarray, xdual: np.ndar
         m, flat, log_mag, log = _line_window(lines, t_branch, K)
         scale = np.max(log_mag[..., :-2], axis=-1)  # (C, U, q)
         top = np.where(scale > -np.inf, scale, 0.0)[..., None]
-        log_mag, log = log_mag - top, log - top
-        # a non-finite log weight stays live, so 0 * inf still sums to NaN
-        live = (log_mag[..., :-2] >= LOG_UNDERFLOW) | ~np.isfinite(log_mag[..., :-2])
-        cut = 1 + np.max(np.flatnonzero(live.any(axis=(0, 1, 2))), initial=0)
-        heights = (g.height(t_branch)[where] + shift)[..., None] + g.p * m[:, where, :, :cut]
-        weight = np.exp(log[:, where, :, :cut] + 2j * math.pi * xdual[:, None, None] * heights)
-        # sequential, so the exact zeros past a row's own last live column
-        # leave its sum bit-equal whatever cut the rest of the batch needs
-        sums = (flat[:, where, :, :cut, :] * weight[..., None]).cumsum(axis=-2)[..., -1, :]
-        tails = np.exp(log_mag[..., -2:])
+        terms = flat[..., :-2, :] * np.exp(log[..., :-2] - top)[..., None]  # (C, U, q, 2J + 1, n)
+        tails = np.exp(log_mag[..., -2:] - top)
+        peak = np.exp(2j * math.pi * xdual[:, None] * (g.height(t_branch) + shift + g.p * m[..., 0])[:, where])
+        w, reach = np.exp(2j * math.pi * g.p * xdual), m.shape[-1] // 2 - 1
+        powers = np.cumprod(np.broadcast_to(w[:, None], (w.size, reach)), axis=1)  # w^1 .. w^J
+        phase = np.empty((w.size, 2 * reach + 1), dtype=complex)
+        phase[:, 0], phase[:, 1::2], phase[:, 2::2] = 1.0, powers, powers.conj()
+        weight = peak[..., None] * phase[:, None, :]  # (C, P, q, 2J + 1)
+        sums = (terms[:, where] * weight[..., None]).cumsum(axis=-2)[..., -1, :]
     finite = np.isfinite(sums).all(axis=(1, 2, 3)) & np.isfinite(tails).all(axis=(1, 2, 3))
     if not finite.all():
         raise NumericsError(
             f"component {lines[int(np.argmin(finite))].component.label}: the lattice sum over "
             f"{m.shape[-1] - 2} lifts or its tail bound is not finite"
         )
-    bounds = [coeff.tail_bound(tails[c, ..., 0], tails[c, ..., 1])[where] for c, coeff in enumerate(lines)]
-    return sums.swapaxes(0, 1), np.stack(bounds, axis=1), scale[:, where].swapaxes(0, 1)
+    bounds = lines[0].tail_bound(tails[..., 0], tails[..., 1])  # one kind, on one curve
+    return sums.swapaxes(0, 1), bounds[:, where].swapaxes(0, 1), scale[:, where].swapaxes(0, 1)
 
 
 def _coefficient_values(sec: ThetaSection, ts, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

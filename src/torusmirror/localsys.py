@@ -44,9 +44,11 @@ class LocalSystem:
     def rank(self) -> int:
         return self.monodromy.shape[0]
 
+    @cached_property
     def log_stretch(self) -> float:
         """L = max(log|T|_2, log|T^-1|_2), the largest |log sigma| over T's
-        singular values: the most log|T^k v| can move per seam crossing."""
+        singular values: the most log|T^k v| can move per seam crossing.
+        One SVD, on first use."""
         return float(np.max(np.abs(np.log(np.linalg.svd(self.monodromy, compute_uv=False)))))
 
     def is_quasi_unitary(self, tol: float = QUASI_UNITARY_TOL) -> bool:

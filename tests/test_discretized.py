@@ -167,6 +167,22 @@ def test_failed_certificate_names_component_and_margin():
     assert 0.0 < margin <= 1.0
 
 
+@pytest.mark.parametrize("p,q", [(3, 1), (3, 2), (-3, 2), (-2, 3), (5, 3)])
+def test_one_tiling_per_object_gives_each_line_its_own_heights(p, q):
+    # the union of the lines' windows is tiled once; each line's slice plus
+    # its integer lift has the bits of its own tiling of one period
+    hp = 1.0 / 128
+    graph = make_graph(p=p, q=q, c=0.37, wiggle=[(1, 0.05, -0.04)])
+    lines = lift_components(graph)
+    windows = [(comp.vertex - 2.5, comp.vertex + 2.5) for comp in lines]
+    ys = period_heights(graph, hp)
+    for comp, (lo, hi), heights in zip(lines, windows, derham._tiled_heights(ys, lines, windows, hp)):
+        periods, k = np.divmod(math.floor(lo / hp) + np.arange(round((hi - lo) / hp) - 1), len(ys))
+        assert np.array_equal(heights, ys[k] + (p * periods + comp.shift))
+        nodes = (math.floor(lo / hp) + 1 + np.arange(len(heights))) * hp
+        np.testing.assert_allclose(heights, comp.height(nodes), rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("seam_row", ["first", "last", "inside"])
 @pytest.mark.parametrize(
     "p,q,n",
@@ -194,7 +210,8 @@ def test_scalar_band_with_seam_patches_matches_block_band(p, q, n, seam_row, rng
     d0 = gauged_scalar_operator(comp, mono, lo, hi, res)
     gram = d0 @ d0.T if p > 0 else (d0.T @ d0)[::-1, ::-1]
     # the band reads Y off one period, tiled by Y(t + q) = Y(t) + p
-    diag, sub = derham._line_tridiagonal(period_heights(graph, hp), comp, lo, hi, hp)
+    (heights,) = derham._tiled_heights(period_heights(graph, hp), [comp], [(lo, hi)], hp)
+    diag, sub = derham._line_tridiagonal(heights, p, hp)
     band = np.diag(diag) + np.diag(sub, -1) + np.diag(sub, 1)
     assert np.max(np.abs(band - gram)) <= 1e-14 * np.max(np.abs(gram))
     want = np.abs(gram).sum(axis=1).max()
@@ -242,13 +259,20 @@ def test_non_finite_gram_is_refused(q, bad):
     graph = make_graph(p=-1, q=q, c=0.3)
     comp = lift_components(graph)[0]
     ys = period_heights(graph, 1.0 / 64)
-    diag, sub = derham._line_tridiagonal(ys, comp, -3.0, 3.0, 1.0 / 64)
+    (heights,) = derham._tiled_heights(ys, [comp], [(-3.0, 3.0)], 1.0 / 64)
+    diag, sub = derham._line_tridiagonal(heights, graph.p, 1.0 / 64)
     assert derham._gram_count(diag, sub, -derham._row_sum_bound(diag, sub), 1e-6)[0] == 0
-    assert derham._line_component_dims(ys, comp, 1, 6.0, 1.0 / 64, DISCRETE_RANK_TOL) == (0, 1)
+    window = (comp.vertex - 6.0, comp.vertex + 6.0)
+
+    def line_dims():
+        (heights,) = derham._tiled_heights(ys, [comp], [window], 1.0 / 64)
+        return derham._line_component_dims(heights, comp, window, 1, 1.0 / 64, DISCRETE_RANK_TOL)
+
+    assert line_dims() == (0, 1)
     # dstebz's count is undefined on NaN, so a non-finite Gram is refused first
     ys[5] = bad
     with pytest.raises(NumericsError, match=rf"{comp.label}: the full-rank side's Gram is not finite"):
-        derham._line_component_dims(ys, comp, 1, 6.0, 1.0 / 64, DISCRETE_RANK_TOL)
+        line_dims()
 
 
 @pytest.mark.parametrize(
@@ -286,10 +310,10 @@ def test_sturm_count_agrees_with_the_ldlt_factor_on_the_golden_lines():
         for tt in scene.objects:
             if tt.graph.p == 0:
                 continue
-            ys = period_heights(tt.graph, hp)
-            for comp in tt.geometry.components:
-                lo, hi = comp.vertex - scene.params.window, comp.vertex + scene.params.window
-                diag, sub = derham._line_tridiagonal(ys, comp, lo, hi, hp)
+            lines = tt.geometry.components
+            windows = [(comp.vertex - scene.params.window, comp.vertex + scene.params.window) for comp in lines]
+            for comp, heights in zip(lines, derham._tiled_heights(period_heights(tt.graph, hp), lines, windows, hp)):
+                diag, sub = derham._line_tridiagonal(heights, tt.graph.p, hp)
                 bound = derham._row_sum_bound(diag, sub)
                 for scale in (1.0, 10.0, 100.0):
                     shift = (scale * DISCRETE_RANK_TOL) ** 2 * bound

@@ -573,23 +573,31 @@ def test_theta_values_with_steep_or_mixed_moduli_match_the_exact_sum(sec, points
 
 
 def full_window_terms(lines, t_branch, where, xdual, K):
-    """Every term of the lattice sums' window, computed as before the
-    per-point work stopped at the last live lift, each relative to its
-    row's largest term: the terms (P, C, q, 2(K + R) + 1, n), in the
-    window's ascending-|shift| order, the truncation bounds (P, C, q) and
-    the rows' log scales (P, C, q)."""
+    """Every term of the lattice sums over the full window, the K + R shifts
+    either side of the nominal peak and a tail term each side, from each
+    coefficient's flat_and_twist on its lift array, each term relative to
+    its row's largest: the terms (P, C, q, 2(K + R) + 1, n), their signed
+    shifts in the window's ascending-|shift| order, the truncation bounds
+    (P, C, q) and the rows' log scales (P, C, q)."""
     g = lines[0].component.parent
-    shift = np.array([coeff.component.shift for coeff in lines])[:, None, None, None]
+    reach = K + lines[0].peak_reach
+    shifts = np.array([0] + [sign * d for d in range(1, reach + 1) for sign in (1, -1)] + [-(reach + 1), reach + 1])
+    terms, bounds, scales = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        m, flat, log_mag, log = fourier._line_window(lines, t_branch, K)
-        scale = np.max(log_mag[..., :-2], axis=-1)
-        top = np.where(scale > -np.inf, scale, 0.0)[..., None]
-        heights = g.height(t_branch)[where][..., None] + shift + g.p * m[:, where, :, :-2]
-        kern = 2j * math.pi * xdual[:, None, None] * heights
-        terms = flat[:, where, :, :-2, :] * np.exp(log[:, where, :, :-2] - top[:, where] + kern)[..., None]
-        tails = np.exp(log_mag[..., -2:] - top)
-    bounds = [coeff.tail_bound(tails[c, ..., 0], tails[c, ..., 1])[where] for c, coeff in enumerate(lines)]
-    return terms.swapaxes(0, 1), np.stack(bounds, axis=1), scale[:, where].swapaxes(0, 1)
+        for coeff in lines:
+            comp = coeff.component
+            m = np.rint((comp.vertex - t_branch) / g.q)[..., None] + shifts
+            flat, twist = coeff.flat_and_twist(t_branch[..., None] + g.q * m)
+            log_mag = log_norm(flat) + twist
+            scale = np.max(log_mag[..., :-2], axis=-1)
+            top = np.where(scale > -np.inf, scale, 0.0)[..., None]
+            kern = 2j * math.pi * xdual[:, None, None] * (comp.height(t_branch)[..., None] + g.p * m)[where]
+            weight = np.exp((twist - top)[where] + kern)[..., :-2]
+            terms.append(flat[where][..., :-2, :] * weight[..., None])
+            tails = np.exp(log_mag[..., -2:] - top)
+            bounds.append(coeff.tail_bound(tails[..., 0], tails[..., 1])[where])
+            scales.append(scale[where])
+    return np.stack(terms, axis=1), shifts[:-2], np.stack(bounds, axis=1), np.stack(scales, axis=1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -604,15 +612,15 @@ def test_line_sums_match_the_full_window(tt, K, points):
     ts, xs = np.array(points).T
     distinct, where = np.unique(ts, return_inverse=True)
     t_branch = distinct[:, None] + np.arange(tt.graph.q)
-    exp, lifts = np.exp, []
+    exp, phases = np.exp, []
 
     def spied(x, *args, **kwargs):
         if np.iscomplexobj(x):  # the per-point kernel
-            lifts.append(np.shape(x)[-1])
+            phases.append(np.shape(x))
         return exp(x, *args, **kwargs)
 
     lines = standard_section(tt, K).coefficients
-    terms, bounds, scales = full_window_terms(lines, t_branch, where, xs, K)
+    terms, shifts, bounds, scales = full_window_terms(lines, t_branch, where, xs, K)
     if not (np.all(np.isfinite(terms.sum(axis=-2))) and np.all(np.isfinite(bounds))):
         with pytest.raises(NumericsError, match="not finite"):
             fourier._lattice_sums(lines, t_branch, where, xs, K)
@@ -620,14 +628,76 @@ def test_line_sums_match_the_full_window(tt, K, points):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "exp", spied)
         values, got_bounds, got_scales = fourier._lattice_sums(lines, t_branch, where, xs, K)
-    # the kernel ran on the leading lifts only; every lift left out was exactly 0
-    assert len(lifts) == 1 and not np.any(terms[..., lifts[0]:, :])
-    assert np.array_equal(got_bounds, bounds) and np.array_equal(got_scales, scales)
+    # the complex exps ran per point, coefficient and branch, none per lift
+    shape = (len(lines), len(points), tt.graph.q)
+    assert sorted(phases) == sorted([shape, (len(points),)])
+    # every lift the closed-form window leaves out is exactly 0 in the full one
+    reach = lines[0].lift_reach(K)
+    assert not np.any(terms[..., np.abs(shifts) > reach, :])
+    np.testing.assert_allclose(got_scales, scales, rtol=1e-13, atol=1e-12)
+    np.testing.assert_allclose(got_bounds, bounds, rtol=1e-12, atol=0.0)
     assert np.all(np.abs(values - terms.sum(axis=-2)) <= 1e-14 * np.abs(terms).sum(axis=-2))
-    # a point alone has the same bits as in the batch, whatever cut the batch took
+    # so the full window gives the same bits: values, bounds and scales
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HorizontalCoefficient, "lift_reach", lambda self, K: K + self.peak_reach)
+        full = fourier._lattice_sums(lines, t_branch, where, xs, K)
+    assert all(np.array_equal(a, b) for a, b in zip(full, (values, got_bounds, got_scales)))
+    # a point alone has the same bits as in the batch
     for i in range(len(points)):
         alone, _, _ = fourier._lattice_sums(lines, t_branch[where[i] : where[i] + 1], np.zeros(1, int), xs[i : i + 1], K)
         assert np.array_equal(alone[0], values[i])
+
+
+@st.composite
+def reach_objects(draw):
+    """Straight lines with p in 1..4, q in 1..3 and a rank-1 or rank-2 T:
+    unitary, steep (e^(2 pi a), |a| <= 12) or of mixed moduli."""
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    assume(math.gcd(p, q) == 1)
+    n = draw(st.integers(1, 2))
+    phases = np.array(draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["unitary", "steep", "mixed"]))
+    if kind == "unitary":
+        logs = np.zeros(n)
+    elif kind == "steep":
+        logs = np.full(n, draw(st.floats(-12.0, 12.0)))
+    else:
+        logs = np.array(draw(st.lists(st.floats(-12.0, 12.0), min_size=n, max_size=n)))
+    mono = np.diag(np.exp(2 * math.pi * logs + 1j * phases))
+    if n == 2 and kind != "steep":
+        mono[0, 1] = draw(st.floats(-1.0, 1.0))  # not normal
+    c = draw(st.floats(-1.0, 1.0))
+    return TwistedTransport(make_graph(p=p, q=q, c=c, wiggle=[(1, 0.01, -0.01)]), LocalSystem(mono))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tt=reach_objects(), K=st.sampled_from([1, 4, 25]), t=st.floats(0.0, 0.999))
+def test_closed_form_reach_leaves_out_only_underflowing_lifts(tt, K, t):
+    # measured on the full window of 2(K + R) + 3 lifts, from flat_and_twist
+    g = tt.graph
+    for coeff in standard_section(tt, K).coefficients:
+        reach = coeff.lift_reach(K)
+        assert coeff.peak_reach <= reach <= K + coeff.peak_reach
+        full = K + coeff.peak_reach
+        shifts = np.arange(-full - 1, full + 2)
+        branch = t + np.arange(g.q)[:, None]
+        nominal = np.rint((coeff.component.vertex - branch) / g.q)
+        flat, twist = coeff.flat_and_twist(branch + g.q * (nominal + shifts))
+        log_mag = log_norm(flat) + twist
+        assert np.all(np.isfinite(log_mag))
+        top = log_mag[:, 1:-1].max(axis=1, keepdims=True)
+        past = (np.abs(shifts) > reach) & (np.abs(shifts) <= full)
+        assert np.all(log_mag[:, past] < top - 760.0)
+
+
+def test_unitary_lines_hold_the_closed_form_window(rng):
+    # L = 0: J is the largest |j| with -pi p q |j|(|j| - 1) >= -761
+    want = {(1, 1): 16, (1, 2): 11, (1, 3): 9, (2, 1): 11, (2, 3): 6, (3, 1): 9, (3, 2): 6}
+    for (p, q), reach in want.items():
+        tt = TwistedTransport(make_graph(p=p, q=q, c=0.3), LocalSystem(random_unitary(2, rng)))
+        coeff = standard_section(tt).coefficients[0]
+        assert (coeff.peak_reach, coeff.lift_reach(25), coeff.lift_reach(4)) == (1, reach, 5)
+        assert -math.pi * p * q * reach * (reach - 1) >= -761.0 > -math.pi * p * q * (reach + 1) * reach
 
 
 def test_dbar_residual_is_one_batch(monkeypatch):
@@ -714,10 +784,11 @@ def test_dbar_check_step_passes_each_distinct_t_once(monkeypatch):
     # 4 sample t values x 5 stencil offsets, out of 9 stencil points for each of 8 points
     distinct_t = len({t for t, _ in DBAR_SAMPLE_POINTS}) * 5
     assert 9 * len(DBAR_SAMPLE_POINTS) == 72 and distinct_t == 20
-    # 2 (K + R + 1) + 1 = 55 lifts: K + R = 26 either side of the nominal peak
+    # 2 J + 3 = 15 lifts: J = 6 either side of the nominal peak, since with
+    # L = 0.42 the bound L j - 6 pi j (j - 1) is -563 at j = 6 and -789 at 7,
     # and one tail term each; one window holds both coefficients
-    assert sec.K == 25 and {coeff.peak_reach for coeff in sec.coefficients} == {1}
-    assert windows == [(len(sec.coefficients), distinct_t, g.q, 55)]
+    assert sec.K == 25 and {(coeff.peak_reach, coeff.lift_reach(sec.K)) for coeff in sec.coefficients} == {(1, 6)}
+    assert windows == [(len(sec.coefficients), distinct_t, g.q, 15)]
 
 
 def test_verify_recurses_t_once_per_line_object_and_evaluates_no_lift_array(monkeypatch):
@@ -767,7 +838,7 @@ def test_verify_recurses_t_once_per_line_object_and_evaluates_no_lift_array(monk
     lines = [tt for tt in scene.objects if tt.graph.p > 0]
     assert len(lines) == 7 and all(entry["errors"] == [] for entry in report.objects)
     assert tables == [(tt.rank, tt.graph.p) for tt in sorted(lines, key=lambda tt: tt.id)]
-    # 20 distinct t times q <= 3 branches; a lift array holds 55 lifts per row
+    # 20 distinct t times q <= 3 branches; a lift array holds up to 35 lifts per row
     assert sizes and {name for name, _ in sizes} >= {"cos", "sin", "height"}
     assert max(points for _, points in sizes) <= 20 * 3, sizes
 
