@@ -40,7 +40,7 @@ import numpy as np
 from .errors import NumericsError, UnsupportedError, ValidationError, WindowError
 from .floer import RANK_TOL
 from .geometry import CIRCLE, LiftComponent
-from .localsys import TwistedTransport, circle_monodromy
+from .localsys import TwistedTransport, circle_monodromy, twist_exponent
 
 TWO_PI = 2.0 * math.pi
 
@@ -359,13 +359,9 @@ def _gram_count(diag: np.ndarray, sub: np.ndarray, lo: float, hi: float) -> tupl
 def _validate_window(comp: LiftComponent, lo: float, hi: float) -> None:
     """The weight at both ends of [lo, hi] must lie 1e-12 below its value at
     the vertex (lo + hi) / 2, a lower bound on its peak: a drop of -sign(p)
-    times the twist from the vertex (localsys.twist_exponent's vertex form),
-    with W~ taken in one call on (lo, hi, mid)."""
-    g, mid = comp.parent, 0.5 * (lo + hi)
-    wiggle = g.wiggle_primitive(np.array([lo, hi, mid]))
-    d, d0 = np.array([lo, hi]) - comp.vertex, mid - comp.vertex
-    twist = -TWO_PI * (g.p / (2 * g.q) * (d * d - d0 * d0) + (wiggle[:2] - wiggle[2]))
-    drop = -math.copysign(1.0, g.p) * twist
+    times the twist from the vertex (twist_exponent)."""
+    g = comp.parent
+    drop = -math.copysign(1.0, g.p) * twist_exponent(g, comp.shift, 0.5 * (lo + hi), np.array([lo, hi]))
     needed = -math.log(1e-12)
     for end in drop.tolist():
         if end < needed:

@@ -8,24 +8,26 @@ the fiber value v.  The holomorphic coordinate is z = xdual + i*t.
 
 _coefficient_values is the one evaluation path.  For the U distinct t
 values of P mirror points it takes all C line coefficients of a section in
-one stacked pass over a (C, U, q, lifts) array (_lattice_sums).  The lifts
-form one window, sized before it is built: J shifts either side of the
-lift nearest the vertex of each coefficient's quadratic weight, where
-J = lift_reach(K) is the largest shift whose log weight can still come
+one stacked pass over a (C, U, q, lifts) array (_lattice_sums, which
+builds and sums the window).  The lifts form one window of ascending
+shifts m0 - J - 1 .. m0 + J + 1, sized before it is built: m0 is the
+lift nearest the vertex of each coefficient's quadratic weight, and
+J = lift_reach(K) the largest shift whose log weight can still come
 within LOG_UNDERFLOW = -760 of its row's largest (below that a term rounds
 to exactly 0), in closed form from the quadratic weight and the stretch L
-of T, and never below the section's peak_reach R nor above K + R.  Every
-term is in log form, a bounded part times the exp of a log weight:
-horizontal coefficients read their parts off one table of T^k V, V the
-n x C matrix of their vectors, with a log scale per row, and add the twist
-(localsys.twist_exponent, on the rows and the anchors); a sampled
-coefficient's function gets the whole lift array.  Each row's terms are
-taken relative to its largest log weight, its log scale, and their
-magnitudes are one real exp per row; only the kernel's phase and the sum
-are per point, the phase as exp(2 pi i xdual H0) w^j from the nominal
-peak's height H0 and powers of w = exp(2 pi i xdual p).  theta_eval_batch
-sums the coefficients, and values leave the log form there alone;
-theta_eval, tensor_compat_check and app.sample_section call it.
+of T, at most K + R, R the section's peak_reach; the two end columns are
+the tail terms of the truncation bound.  Every term is in log form, a
+bounded part times the exp of a log weight: horizontal coefficients read
+their parts off one table of T^k V, V the n x C matrix of their vectors,
+with a log scale per row, and add the twist (localsys.twist_exponent, W~
+on the rows and the anchors in one call); a sampled coefficient's function
+gets the whole lift array.  Each row's terms are taken relative to its
+largest log weight, its log scale, and their magnitudes are one real exp
+per row; only the kernel's phase and the sum are per point, the phase as
+exp(2 pi i xdual H0) w^j from the nominal peak's height H0 and one run of
+powers w^-J .. w^J of w = exp(2 pi i xdual p).  theta_eval_batch sums the
+coefficients, and values leave the log form there alone; theta_eval,
+tensor_compat_check and app.sample_section call it.
 
 dbar_residuals differences each coefficient's nine values on a
 fourth-order stencil of step h around each of its points, all points'
@@ -126,14 +128,15 @@ class HorizontalCoefficient(HorizontalSection):
         Past the largest |j| where that bound reaches LOG_UNDERFLOW - 1 (one
         unit kept for the rounding of the log weights), every term rounds to
         exactly 0 beside its row's largest, the tail terms at J + 1 too, so
-        the window leaves out only zeros.  Never below peak_reach, and at
-        most K + peak_reach, where the tails bound the truncation."""
+        the window leaves out only zeros.  At most K + peak_reach, where the
+        tails bound the truncation; never below peak_reach, since the root
+        exceeds 1 + L / (pi p q), so its floor is at least peak_reach."""
         g = self.component.parent
         a = math.pi * g.p * g.q
         b = a + self.system.log_stretch
         # the larger root of a j^2 - b j = LOG_UNDERFLOW - 1
         root = (b + math.sqrt(b * b - 4.0 * a * (LOG_UNDERFLOW - 1.0))) / (2.0 * a)
-        return min(K + self.peak_reach, max(self.peak_reach, math.floor(root)))
+        return min(K + self.peak_reach, math.floor(root))
 
     def tail_bound(self, lo_term, hi_term):
         g = self.component.parent
@@ -244,40 +247,6 @@ def unit_object(n: int = 1) -> TwistedTransport:
     return TwistedTransport(LagrangianGraph(id="unit", q=1, p=0, c=0.0), trivial_system(n))
 
 
-def _line_window(lines, t_branch: np.ndarray, K: int):
-    """The window of the C line coefficients over the rows t_branch (U, q):
-    the lattice shifts m (C, U, q, L) of the lifts s = t + q m, and their
-    terms flat * exp(log): the flat parts (C, U, q, L, n), log|flat| + log
-    and log (C, U, q, L).
-
-    The J shifts either side of each coefficient's nominal peak (the lift
-    nearest its vertex), J the first coefficient's lift_reach(K), in
-    ascending |shift| order with the positive side first, then the tail
-    term at J + 1 each side for the bound: 2J + 3 lifts.  Horizontal
-    coefficients read their flat parts and log scales off one table of
-    T^k V, V the n x C matrix of their vectors, built on those lifts only,
-    and add the twist; a sampled coefficient's function gets its lift array.
-    """
-    g = lines[0].component.parent
-    reach = lines[0].lift_reach(K)
-    order = [0] + [sign * d for d in range(1, reach + 1) for sign in (1, -1)] + [-(reach + 1), reach + 1]
-    vertex = np.array([coeff.component.vertex for coeff in lines])[:, None, None]
-    m = np.rint((vertex - t_branch) / g.q)[..., None] + np.array(order)
-    if isinstance(lines[0], SampledCoefficient):
-        lifts = t_branch[..., None] + g.q * m
-        flat, log = (np.stack(part) for part in zip(*(c.flat_and_twist(s) for c, s in zip(lines, lifts))))
-        return m, flat, log_norm(flat) + log, log
-    anchor, shift = np.array([(c.anchor_t, c.component.shift) for c in lines]).T[..., None, None, None]
-    k = (np.floor(t_branch / g.q)[..., None] + m - np.floor(anchor / g.q)).astype(int)
-    k_lo, k_hi = min(int(k.min()), 0), max(int(k.max()), 0)
-    vectors = np.stack([coeff.vector for coeff in lines], axis=1)
-    table, scales = localsys._power_table(lines[0].system, vectors, k_lo, k_hi)
-    table = table.swapaxes(1, 2)  # (k, C, n)
-    rows = (k - k_lo, np.arange(len(lines))[:, None, None, None])
-    log = localsys.twist_exponent(g, shift, anchor, t_branch[..., None], m) + scales[rows]
-    return m, table[rows], log_norm(table)[rows] + log, log
-
-
 def _lattice_sums(lines, t_branch: np.ndarray, where: np.ndarray, xdual: np.ndarray, K: int):
     """Lattice sums of the C line coefficients at P points whose branch
     points are the rows t_branch[where] (t_branch (U, q) holds each distinct
@@ -285,38 +254,54 @@ def _lattice_sums(lines, t_branch: np.ndarray, where: np.ndarray, xdual: np.ndar
     bounds (P, C, q) relative to the log scales (P, C, q), each row's
     largest log weight (-inf on a row of zeros).
 
-    The magnitude is per row: one real exp of each lift's log weight less
-    its row's largest.  Only the kernel's phase is per point: with H0 = Y(t)
-    + r + p m0 the nominal peak's height and w = exp(2 pi i xdual p), the
-    lift j shifts from it has phase exp(2 pi i xdual H0) w^j, the powers of
-    w a sequential product along the lifts and their conjugates on the
-    negative side: one complex exp per point, coefficient and branch, and
-    one per point for w, none per lift.  The sum is sequential and every
-    factor is taken from its row or its point alone, so a point's value has
-    the same bits in any batch.  A non-finite log weight or tail term inside
-    the window makes the sum or the bound non-finite, which raises
-    NumericsError, naming the component.
+    The window holds the lifts s = t + q m at the ascending shifts
+    m0 - J - 1 .. m0 + J + 1 about the nominal peak m0, J the first
+    coefficient's lift_reach(K); the 2J + 1 inside are summed, the end
+    columns are the tail terms of the bound.  Each row's magnitudes are one
+    real exp of its log weights less its largest.  Only the kernel's phase
+    is per point: with H0 = Y(t) + r + p m0 and w = exp(2 pi i xdual p),
+    the lift j shifts from m0 has phase exp(2 pi i xdual H0) w^j, the powers
+    w^1 .. w^J a sequential product behind their reversed conjugates: one
+    complex exp per point, coefficient and branch, and one per point for
+    w, none per lift.  The sum is sequential and every factor is taken from
+    its row or its point alone, so a point's value has the same bits in any
+    batch.  A non-finite sum or tail term raises NumericsError, naming the
+    component.
     """
     g = lines[0].component.parent
-    shift = np.array([coeff.component.shift for coeff in lines])[:, None, None]
+    reach = lines[0].lift_reach(K)
+    vertex, shift = np.array([(c.component.vertex, c.component.shift) for c in lines]).T[..., None, None]
+    nominal = np.rint((vertex - t_branch) / g.q)  # (C, U, q)
+    m = nominal[..., None] + np.arange(-reach - 1, reach + 2)  # (C, U, q, 2J + 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        m, flat, log_mag, log = _line_window(lines, t_branch, K)
-        scale = np.max(log_mag[..., :-2], axis=-1)  # (C, U, q)
+        if isinstance(lines[0], SampledCoefficient):
+            lifts = t_branch[..., None] + g.q * m
+            flat, log = (np.stack(part) for part in zip(*(c.flat_and_twist(s) for c, s in zip(lines, lifts))))
+            log_mag = log_norm(flat) + log
+        else:
+            anchor = np.array([c.anchor_t for c in lines])[:, None, None, None]
+            k = localsys._seam_crossings(g.q, anchor, t_branch[..., None]) + m.astype(int)
+            k_lo, k_hi = min(int(k.min()), 0), max(int(k.max()), 0)
+            table, scales = localsys._power_table(lines[0].system, np.stack([c.vector for c in lines], axis=1), k_lo, k_hi)
+            table = table.swapaxes(1, 2)  # (k, C, n)
+            rows = (k - k_lo, np.arange(len(lines))[:, None, None, None])
+            log = localsys.twist_exponent(g, shift[..., None], anchor, t_branch[..., None], m) + scales[rows]
+            flat, log_mag = table[rows], log_norm(table)[rows] + log
+        scale = np.max(log_mag[..., 1:-1], axis=-1)  # (C, U, q)
         top = np.where(scale > -np.inf, scale, 0.0)[..., None]
-        terms = flat[..., :-2, :] * np.exp(log[..., :-2] - top)[..., None]  # (C, U, q, 2J + 1, n)
-        tails = np.exp(log_mag[..., -2:] - top)
-        peak = np.exp(2j * math.pi * xdual[:, None] * (g.height(t_branch) + shift + g.p * m[..., 0])[:, where])
-        w, reach = np.exp(2j * math.pi * g.p * xdual), m.shape[-1] // 2 - 1
+        terms = flat[..., 1:-1, :] * np.exp(log[..., 1:-1] - top)[..., None]  # (C, U, q, 2J + 1, n)
+        tails = np.exp(log_mag[..., [0, -1]] - top)
+        peak = np.exp(2j * math.pi * xdual[:, None] * (g.height(t_branch) + shift + g.p * nominal)[:, where])
+        w = np.exp(2j * math.pi * g.p * xdual)
         powers = np.cumprod(np.broadcast_to(w[:, None], (w.size, reach)), axis=1)  # w^1 .. w^J
-        phase = np.empty((w.size, 2 * reach + 1), dtype=complex)
-        phase[:, 0], phase[:, 1::2], phase[:, 2::2] = 1.0, powers, powers.conj()
+        phase = np.concatenate((powers[:, ::-1].conj(), np.ones((w.size, 1)), powers), axis=1)  # w^-J .. w^J
         weight = peak[..., None] * phase[:, None, :]  # (C, P, q, 2J + 1)
         sums = (terms[:, where] * weight[..., None]).cumsum(axis=-2)[..., -1, :]
     finite = np.isfinite(sums).all(axis=(1, 2, 3)) & np.isfinite(tails).all(axis=(1, 2, 3))
     if not finite.all():
         raise NumericsError(
             f"component {lines[int(np.argmin(finite))].component.label}: the lattice sum over "
-            f"{m.shape[-1] - 2} lifts or its tail bound is not finite"
+            f"{2 * reach + 1} lifts or its tail bound is not finite"
         )
     bounds = lines[0].tail_bound(tails[..., 0], tails[..., 1])  # one kind, on one curve
     return sums.swapaxes(0, 1), bounds[:, where].swapaxes(0, 1), scale[:, where].swapaxes(0, 1)

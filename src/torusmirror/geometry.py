@@ -297,8 +297,16 @@ def _critical_points(graph: LagrangianGraph) -> np.ndarray:
     Its zeros are the unit-circle roots of z^M Y', found as the eigenvalues
     of the companion matrix (np.roots), which is backward stable.  The
     coefficients are scaled by a power of two, so a subnormal wiggle does
-    not overflow the companion matrix, and top harmonics below rounding are
-    dropped, so a negligible leading term does not scatter the other roots.
+    not overflow the companion matrix.  Top harmonics whose |c_m| sum to
+    D/2 are dropped first, while D q <= TANGENCY_HEIGHT_TOL and D <=
+    sqrt(2 eps) max|c|.  The drop moves Y' by at most D, so on a piece,
+    where the kept Y' has one sign, Y turns back only where |Y'| <= D and
+    by at most D q: a crossing it moves off its piece, or a pair it hides,
+    is a contact within both of the scan's tolerances, as np.roots' own
+    backward error hides pairs at eps max|c|.  Keeping a top c_M costs
+    np.roots a backward error of about eps max|c|^2 / |c_M|, more than the
+    drop's 2 |c_M| once |c_M| < sqrt(eps / 2) max|c|: a top term of 1e-14
+    relative, kept, moved other knots by 1e-6.
     Every root's angle is a knot, with no band around |z| = 1: rounding
     pushes a multiple zero off the circle, and an extra knot only splits a
     monotone piece, where a missing one could hide a pair of crossings.
@@ -309,8 +317,8 @@ def _critical_points(graph: LagrangianGraph) -> np.ndarray:
     coeffs = [complex(math.ldexp(graph.p / q, scale))] + [0j] * max((h.m for h in graph.wiggle), default=0)
     for h, a, b in zip(graph.wiggle, on_cos, on_sin):
         coeffs[h.m] += complex(math.ldexp(a, scale), -math.ldexp(b, scale)) / 2
-    cutoff = sys.float_info.epsilon * max(map(abs, coeffs))
-    while len(coeffs) > 1 and abs(coeffs[-1]) <= cutoff:
+    limit, drop = math.sqrt(2.0 * sys.float_info.epsilon) * max(map(abs, coeffs)), 0.0
+    while len(coeffs) > 1 and (drop := drop + 2.0 * abs(coeffs[-1])) <= limit and math.ldexp(drop * q, -scale) <= TANGENCY_HEIGHT_TOL:
         coeffs.pop()
     if len(coeffs) == 1:
         return np.empty(0)

@@ -44,11 +44,11 @@ class LocalSystem:
     def rank(self) -> int:
         return self.monodromy.shape[0]
 
-    @cached_property
+    @property
     def log_stretch(self) -> float:
         """L = max(log|T|_2, log|T^-1|_2), the largest |log sigma| over T's
         singular values: the most log|T^k v| can move per seam crossing.
-        One SVD, on first use."""
+        One SVD per use."""
         return float(np.max(np.abs(np.log(np.linalg.svd(self.monodromy, compute_uv=False)))))
 
     def is_quasi_unitary(self, tol: float = QUASI_UNITARY_TOL) -> bool:
@@ -60,10 +60,10 @@ def trivial_system(n: int = 1) -> LocalSystem:
     return LocalSystem(np.eye(n, dtype=complex))
 
 
-def _seam_crossings(q: int, t0: float, t1):
+def _seam_crossings(q: int, t0, t1):
     """Net positively-oriented seam crossings on the half-open path (t0, t1];
-    t1 may be an array."""
-    return np.floor(np.asarray(t1) / q).astype(int) - math.floor(t0 / q)
+    t0 and t1 may be broadcasting arrays."""
+    return np.floor(np.asarray(t1) / q).astype(int) - np.floor(np.asarray(t0) / q).astype(int)
 
 
 def transport_flat(system: LocalSystem, comp: LiftComponent, t0: float, t1: float) -> np.ndarray:
@@ -79,14 +79,18 @@ def twist_exponent(graph: LagrangianGraph, shift, t0, t1, m=0):
     scalars or arrays, with no cancellation at any offset: the linear part is
     (p / 2q)((s - v)^2 - (t0 - v)^2) about the vertex v = -(c + shift) q / p
     on a line and (c + shift)(s - t0) on a circle, where a difference of
-    primitives rounds at p c^2 q.  W~(s) = W~(t1), so W~ is read at t1, t0."""
+    primitives rounds at p c^2 q.  W~(s) = W~(t1), so W~ is read at t1 and
+    t0, in one call: its entries' bits do not depend on the rest of the array."""
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    wiggle = graph.wiggle_primitive(np.concatenate((t1.ravel(), t0.ravel())))
+    w1, w0 = wiggle[: t1.size].reshape(t1.shape), wiggle[t1.size :].reshape(t0.shape)
     if graph.p:
         vertex = -(graph.c + shift) * graph.q / graph.p
         d, d0 = (t1 - vertex) + graph.q * m, t0 - vertex
         linear = graph.p / (2 * graph.q) * (d * d - d0 * d0)
     else:
         linear = (graph.c + shift) * ((t1 - t0) + graph.q * m)
-    return -TWO_PI * (linear + (graph.wiggle_primitive(t1) - graph.wiggle_primitive(t0)))
+    return -TWO_PI * (linear + (w1 - w0))
 
 
 def transport_twisted(system: LocalSystem, comp: LiftComponent, t0: float, t1: float) -> np.ndarray:

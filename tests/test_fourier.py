@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import torusmirror.fourier as fourier
+import torusmirror.localsys as localsys
 from torusmirror.errors import DecayError, NumericsError, UnsupportedError, ValidationError
 from torusmirror.fourier import (
     CircleCoefficient,
@@ -298,8 +299,6 @@ def test_sampled_coefficient_calls_its_function_once_on_the_whole_array():
 
 
 def test_tensor_compat_builds_each_power_table_once_per_evaluation(monkeypatch):
-    import torusmirror.localsys as localsys
-
     tables = []
     power_table = localsys._power_table
 
@@ -572,32 +571,59 @@ def test_theta_values_with_steep_or_mixed_moduli_match_the_exact_sum(sec, points
         assert np.max(np.abs(values[i, 0] - want)) <= bounds[i] + 1e-12 * magnitude
 
 
+def exact_line_data(graph, shift, u):
+    """Y(u) + shift and its antiderivative p u^2 / 2q + (c + shift) u + the
+    wiggle's primitive, at the mpf u, from the float data."""
+    height = mpmath.mpf(graph.p) / graph.q * u + graph.c + shift
+    primitive = mpmath.mpf(graph.p) / (2 * graph.q) * u * u + (mpmath.mpf(graph.c) + shift) * u
+    for h in graph.wiggle:
+        omega = 2 * mpmath.pi * h.m / graph.q
+        cos, sin = mpmath.cos(omega * u), mpmath.sin(omega * u)
+        height += h.a * cos + h.b * sin
+        primitive += (h.a * sin - h.b * cos) / omega
+    return height, primitive
+
+
 def full_window_terms(lines, t_branch, where, xdual, K):
     """Every term of the lattice sums over the full window, the K + R shifts
-    either side of the nominal peak and a tail term each side, from each
-    coefficient's flat_and_twist on its lift array, each term relative to
-    its row's largest: the terms (P, C, q, 2(K + R) + 1, n), their signed
-    shifts in the window's ascending-|shift| order, the truncation bounds
-    (P, C, q) and the rows' log scales (P, C, q)."""
+    either side of the nominal peak and a tail term each side, each term
+    relative to its row's largest: the terms (P, C, q, 2(K + R) + 1, n),
+    their signed shifts in ascending order, the truncation bounds (P, C, q)
+    and the rows' log scales (P, C, q).
+
+    The term at the lift s = t + q m is T^k v exp(-2 pi int Y + r from the
+    anchor a to s) exp(2 pi i xdual (Y(s) + r)), k = floor(s / q) - floor(a /
+    q), T^k v a row of the power table with its log.  The lift, its seam
+    count, the twist, the kernel and the exp are taken in 40 digits from the
+    float data, so a term rounds once: the reference shares none of the
+    window's roundings of s - v, of the log weights or of the phase."""
     g = lines[0].component.parent
     reach = K + lines[0].peak_reach
-    shifts = np.array([0] + [sign * d for d in range(1, reach + 1) for sign in (1, -1)] + [-(reach + 1), reach + 1])
+    shifts = np.arange(-reach - 1, reach + 2)
     terms, bounds, scales = [], [], []
-    with np.errstate(over="ignore", invalid="ignore"):
+    exp = np.frompyfunc(mpmath.exp, 1, 1)
+    with mpmath.workdps(40), np.errstate(over="ignore", invalid="ignore"):
         for coeff in lines:
             comp = coeff.component
             m = np.rint((comp.vertex - t_branch) / g.q)[..., None] + shifts
-            flat, twist = coeff.flat_and_twist(t_branch[..., None] + g.q * m)
-            log_mag = log_norm(flat) + twist
-            scale = np.max(log_mag[..., :-2], axis=-1)
+            s = np.frompyfunc(mpmath.mpf, 1, 1)(t_branch)[..., None] + g.q * m.astype(int).astype(object)
+            k = np.frompyfunc(lambda u: int(mpmath.floor(u / g.q)), 1, 1)(s).astype(int) - math.floor(coeff.anchor_t / g.q)
+            k_lo, k_hi = min(int(k.min()), 0), max(int(k.max()), 0)
+            rows, logs = localsys._power_table(coeff.system, coeff.vector, k_lo, k_hi)
+            heights, primitives = np.frompyfunc(lambda u: exact_line_data(g, comp.shift, u), 1, 2)(s)
+            _, start = exact_line_data(g, comp.shift, mpmath.mpf(coeff.anchor_t))
+            log = -2 * mpmath.pi * (primitives - start) + logs[k - k_lo]
+            flat, log_mag = rows[k - k_lo], log_norm(rows)[k - k_lo] + log.astype(float)
+            scale = np.max(log_mag[..., 1:-1], axis=-1)
             top = np.where(scale > -np.inf, scale, 0.0)[..., None]
-            kern = 2j * math.pi * xdual[:, None, None] * (comp.height(t_branch)[..., None] + g.p * m)[where]
-            weight = np.exp((twist - top)[where] + kern)[..., :-2]
-            terms.append(flat[where][..., :-2, :] * weight[..., None])
-            tails = np.exp(log_mag[..., -2:] - top)
+            kern = 2j * mpmath.pi * xdual[:, None, None] * heights[where]
+            weight = exp((log - top)[where] + kern).astype(complex)[..., 1:-1]
+            terms.append(flat[where][..., 1:-1, :] * weight[..., None])
+            tails = np.exp(log_mag[..., [0, -1]] - top)
             bounds.append(coeff.tail_bound(tails[..., 0], tails[..., 1])[where])
             scales.append(scale[where])
-    return np.stack(terms, axis=1), shifts[:-2], np.stack(bounds, axis=1), np.stack(scales, axis=1)
+    terms, bounds, scales = (np.stack(part, axis=1) for part in (terms, bounds, scales))
+    return terms, shifts[1:-1], bounds, scales
 
 
 @settings(max_examples=60, deadline=None)
@@ -608,6 +634,13 @@ def full_window_terms(lines, t_branch, where, xdual, K):
 )
 # T^k v overflows in the window's far lifts, where the weight is 0: 0 * inf
 @example(tt=TwistedTransport(make_graph(p=1, q=1), LocalSystem([[math.exp(2 * math.pi * 4.0)]])), K=25, points=[(0.3, 0.2)])
+# a float reference, rounding its lift s = t - 4 and then s - v, lay 1.8e-14
+# from the exact sum, where the window lies 3.8e-15 from it
+@example(
+    tt=TwistedTransport(make_graph(p=1, q=1, c=0.8167162011088327), LocalSystem([[math.exp(2 * math.pi * -4.0)]])),
+    K=4,
+    points=[(0.6690497801579374, 0.0)],
+)
 def test_line_sums_match_the_full_window(tt, K, points):
     ts, xs = np.array(points).T
     distinct, where = np.unique(ts, return_inverse=True)
@@ -700,6 +733,24 @@ def test_unitary_lines_hold_the_closed_form_window(rng):
         assert -math.pi * p * q * reach * (reach - 1) >= -761.0 > -math.pi * p * q * (reach + 1) * reach
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 1000), q=st.integers(1, 60), stretch=st.floats(0.0, 700.0))
+@example(p=1, q=1, stretch=0.0)
+# edge.json's lines: p = 1000, T = e^(2 pi 15), and mixed moduli e^(+-2 pi 8)
+@example(p=1000, q=1, stretch=0.0)
+@example(p=1, q=1, stretch=2 * math.pi * 15)
+@example(p=1, q=1, stretch=2 * math.pi * 8)
+def test_lift_reach_never_falls_below_peak_reach(p, q, stretch):
+    # the larger root of pi p q j^2 - (pi p q + L) j = LOG_UNDERFLOW - 1 lies
+    # past 1 + L / (pi p q), so its floor is at least 1 + floor(L / (2 pi p q)),
+    # peak_reach; with K too large for the cap, lift_reach is that floor
+    assume(math.gcd(p, q) == 1)
+    system = LocalSystem([[math.exp(stretch)]])
+    coeff = HorizontalCoefficient(system, LiftComponent(make_graph(p=p, q=q, c=0.3), 0), 0.0, [1.0])
+    assert system.log_stretch == pytest.approx(stretch, abs=1e-12)
+    assert coeff.lift_reach(10**9) >= coeff.peak_reach
+
+
 def test_dbar_residual_is_one_batch(monkeypatch):
     g = make_graph(p=3, q=2, c=0.2, wiggle=[(1, 0.05, -0.03)])
     tt = TwistedTransport(g, LocalSystem([[0.6, 0.8j], [0.8j, 0.6]]))
@@ -771,14 +822,13 @@ def test_dbar_check_step_passes_each_distinct_t_once(monkeypatch):
     g = make_graph(p=2, q=3, c=0.1, wiggle=[(1, 0.03, 0.02)])
     sec = standard_section(TwistedTransport(g, LocalSystem([[0.0, 1.5], [1.0, 0.2]])))
     windows = []
-    line_window = fourier._line_window
+    twist_exponent = localsys.twist_exponent
 
-    def counted(lines, t_branch, K):
-        out = line_window(lines, t_branch, K)
-        windows.append(out[0].shape)
-        return out
+    def counted(graph, shift, t0, t1, m=0):
+        windows.append(np.shape(m))  # the window's lattice shifts
+        return twist_exponent(graph, shift, t0, t1, m)
 
-    monkeypatch.setattr(fourier, "_line_window", counted)
+    monkeypatch.setattr(localsys, "twist_exponent", counted)
     _, h = dbar_check(sec, 1.0)
     assert h == 1e-3  # one step
     # 4 sample t values x 5 stencil offsets, out of 9 stencil points for each of 8 points
@@ -798,7 +848,6 @@ def test_verify_recurses_t_once_per_line_object_and_evaluates_no_lift_array(monk
     # only the (distinct t, q) rows and the anchors
     from pathlib import Path
 
-    import torusmirror.localsys as localsys
     from torusmirror.app import load_scene, run_verify
     from torusmirror.geometry import LagrangianGraph
 
@@ -838,9 +887,10 @@ def test_verify_recurses_t_once_per_line_object_and_evaluates_no_lift_array(monk
     lines = [tt for tt in scene.objects if tt.graph.p > 0]
     assert len(lines) == 7 and all(entry["errors"] == [] for entry in report.objects)
     assert tables == [(tt.rank, tt.graph.p) for tt in sorted(lines, key=lambda tt: tt.id)]
-    # 20 distinct t times q <= 3 branches; a lift array holds up to 35 lifts per row
+    # 20 distinct t times q branches, plus the p anchors where W~ is read in
+    # the same call; a lift array holds up to 35 lifts per row
     assert sizes and {name for name, _ in sizes} >= {"cos", "sin", "height"}
-    assert max(points for _, points in sizes) <= 20 * 3, sizes
+    assert max(points for _, points in sizes) <= max(20 * tt.graph.q + tt.graph.p for tt in lines), sizes
 
 
 def test_section_refuses_coefficients_it_cannot_sum_in_one_pass():
